@@ -102,6 +102,13 @@ def _cmd_compare(args) -> int:
     key_a = _pick(lists_a_all, args.algorithm_a, args.selection_a, "a", args.run_a)
     key_b = _pick(lists_b_all, args.algorithm_b, args.selection_b, "b", args.run_b)
     lists_a, lists_b = lists_a_all[key_a], lists_b_all[key_b]
+    for run_dir, lists in ((args.run_a, lists_a), (args.run_b, lists_b)):
+        run_k = min(lst.target_k for lst in lists.values())
+        if args.k > run_k:
+            raise RecbenchError(
+                f"--k {args.k} exceeds the largest k of run {run_dir} ({run_k}); "
+                "its lists were cut there"
+            )
     common = sorted(set(lists_a) & set(lists_b))
     if not common:
         raise RecbenchError("the two runs share no evaluated users")

@@ -19,7 +19,7 @@ from .corpus import (
     materialize_split,
     plan_splits,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RecbenchError
 from .metrics import EvalInput, evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import (
     DEFAULT_NEIGHBORHOOD_SIZE,
@@ -35,7 +35,7 @@ from .recommenders import (
     recommend_sup,
     recommend_upa,
 )
-from .textproc import build_index, default_stopwords, load_stopwords
+from .textproc import build_index, check_selection, default_stopwords, load_stopwords
 
 log = logging.getLogger("recbench")
 
@@ -140,8 +140,12 @@ class ExperimentConfig:
         if self.stopwords_path is not None and not Path(self.stopwords_path).is_file():
             problems.append(f"stopwords_path does not exist: {self.stopwords_path!r}")
 
-        for sel in self.attribute_selections:
+        # results are keyed by selection label, so two selections sharing one
+        # would overwrite each other's index and double-count their records
+        label_positions: dict[str, list[int]] = {}
+        for position, sel in enumerate(self.attribute_selections):
             if sel == "all":
+                label_positions.setdefault("all", []).append(position)
                 continue
             if isinstance(sel, str):
                 problems.append(
@@ -153,6 +157,13 @@ class ExperimentConfig:
                 problems.append(f"attribute selection must be a non-empty list of names, got {sel!r}")
             elif len(set(sel)) != len(sel):
                 problems.append(f"attribute selection has duplicate names: {list(sel)!r}")
+            else:
+                label_positions.setdefault(selection_label(sel), []).append(position)
+        for label, positions in label_positions.items():
+            if len(positions) > 1:
+                problems.append(
+                    f"attribute_selections entries {positions} share the report label {label!r}"
+                )
 
         if not self.k_values:
             problems.append("k_values must not be empty")
@@ -253,19 +264,28 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the configured algorithms through every cross-validation fold.
 
-    For each fold, every protocol user gets one ranked list per algorithm
-    (and per attribute selection for the content-based ones), generated once
-    at the largest configured k. Quality and coverage metrics are recorded
-    per (algorithm, selection, fold, k); when several algorithms run, their
-    lists are also compared pairwise per selection (list-overlap records and
-    run-level hit intersections).
+    Every protocol user of a fold gets one ranked list per algorithm (and
+    per attribute selection for the content-based ones), generated once at
+    the largest configured k. The work runs in three passes:
+
+    1. Per fold: build the split, keep the test users' profiles and hidden
+       sets, and produce the ``cf`` lists. The split and the CF model are
+       dropped before the next fold's split is built.
+    2. Per attribute selection: build the index, fit ``sup`` and ``upa``
+       once, and produce their lists for every fold. The index, and the
+       ``sup`` neighbour table built on it, are dropped before the next
+       selection's index is built.
+    3. Per fold: record quality and coverage metrics per (algorithm,
+       selection, k); when several algorithms run, also compare their
+       lists pairwise per selection (list-overlap records and run-level
+       hit intersections).
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
     algorithms = config.resolved_algorithms()
     cb_algorithms = [a for a in CONTENT_ALGORITHMS if a in algorithms]
 
-    indexes: dict[str, object] = {}
+    selections: list[tuple[str, ...]] = []
     labels: list[str] = []
     if cb_algorithms:
         corpus = load_content(config.content_path)
@@ -275,14 +295,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         stopwords = (
             load_stopwords(config.stopwords_path) if config.stopwords_path else default_stopwords()
         )
-        for sel in config.attribute_selections:
-            label = selection_label(sel)
-            names = corpus.attribute_names() if sel == "all" else tuple(sel)
-            indexes[label] = build_index(corpus, names, stopwords)
-            labels.append(label)
-            empty = indexes[label].empty_item_ids
-            if empty:
-                log.info("selection %s: %d items have empty vectors", label, len(empty))
+        # checked here, before the fold pass, so a bad selection fails fast
+        selections = [
+            check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
+            for sel in config.attribute_selections
+        ]
+        labels = [selection_label(sel) for sel in config.attribute_selections]
 
     plan = plan_splits(
         ds,
@@ -302,45 +320,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         catalog.extend(i for i in sorted(corpus.item_ids()) if i not in seen)
     catalog_set = set(catalog)
 
-    records: list[ReportRecord] = []
-    inter_counts: dict[tuple[str, str, str, int], list[int]] = {}
     lists_store: dict[tuple[str, str, int], dict[str, RecommendationList]] = {}
     hidden_store: dict[int, dict[str, frozenset[str]]] = {}
-
+    profiles_by_fold: dict[int, dict[str, UserProfile]] = {}
     for fold in range(config.fold_count):
-        split = materialize_split(ds, plan, fold)
-        test_users = plan.users_in_fold(fold)
-        hidden_store[fold] = dict(split.hidden)
-        profiles = {u: UserProfile.from_training(split.train, u) for u in test_users}
+        profiles, hidden_store[fold], cf_lists = _prepare_fold(
+            ds, plan, fold, algorithms.get("cf"), kmax
+        )
+        profiles_by_fold[fold] = profiles
+        if cf_lists is not None:
+            lists_store[("cf", CF_SELECTION_LABEL, fold)] = cf_lists
+        log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(profiles))
+    for names, label in zip(selections, labels):
+        lists_store.update(
+            _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold, kmax)
+        )
+        log.info("selection %s done", label)
 
-        produced: dict[tuple[str, str], dict[str, RecommendationList]] = {}
-        if "cf" in algorithms:
-            params = algorithms["cf"]
-            model = fit_cf(
-                split.train,
-                neighborhood_size=params["neighborhood_size"],
-                similarity_metric=params["similarity_metric"],
-            )
-            produced[("cf", CF_SELECTION_LABEL)] = {
-                u: recommend_cf(model, profiles[u], kmax) for u in test_users
-            }
-        for label in labels:
-            index = indexes[label]
-            if "sup" in algorithms:
-                model = fit_sup(index, votes_per_item=algorithms["sup"]["votes_per_item"])
-                produced[("sup", label)] = {
-                    u: recommend_sup(model, profiles[u], kmax) for u in test_users
-                }
-            if "upa" in algorithms:
-                model = fit_upa(index, profile_term_budget=algorithms["upa"]["profile_term_budget"])
-                produced[("upa", label)] = {
-                    u: recommend_upa(model, profiles[u], kmax) for u in test_users
-                }
-
-        for (algorithm, label), lists in sorted(produced.items()):
-            lists_store[(algorithm, label, fold)] = lists
+    records: list[ReportRecord] = []
+    inter_counts: dict[tuple[str, str, str, int], list[int]] = {}
+    for fold in range(config.fold_count):
+        hidden = hidden_store[fold]
+        for key in sorted(key for key in lists_store if key[2] == fold):
+            algorithm, label, _ = key
+            lists = lists_store[key]
             for k in config.k_values:
-                report = evaluate(EvalInput(lists=lists, hidden=split.hidden, catalog=catalog_set, k=k))
+                report = evaluate(EvalInput(lists=lists, hidden=hidden, catalog=catalog_set, k=k))
                 records.append(ReportRecord(algorithm, label, fold, k, "map", report.map_at_k))
                 records.append(
                     ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty)
@@ -352,21 +357,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for label in labels or [CF_SELECTION_LABEL]:
                 available: list[tuple[str, dict[str, RecommendationList]]] = []
                 if "cf" in algorithms:
-                    available.append(("cf", produced[("cf", CF_SELECTION_LABEL)]))
+                    available.append(("cf", lists_store[("cf", CF_SELECTION_LABEL, fold)]))
                 for a in cb_algorithms:
-                    available.append((a, produced[(a, label)]))
+                    available.append((a, lists_store[(a, label, fold)]))
                 available.sort(key=lambda e: e[0])
                 for (name_a, lists_a), (name_b, lists_b) in combinations(available, 2):
                     pair = f"{name_a}_x_{name_b}"
                     for k in config.k_values:
                         overlap = jaccard_list_similarity(lists_a, lists_b, k)
                         records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
-                        report = hit_intersection(lists_a, lists_b, split.hidden, k)
+                        report = hit_intersection(lists_a, lists_b, hidden, k)
                         acc = inter_counts.setdefault((name_a, name_b, label, k), [0, 0, 0])
                         acc[0] += report.exclusive_a
                         acc[1] += report.exclusive_b
                         acc[2] += report.common
-        log.info("fold %d/%d done (%d test users)", fold + 1, config.fold_count, len(test_users))
 
     intersections = [
         IntersectionRecord(a, b, label, k, counts[0], counts[1], counts[2])
@@ -379,6 +383,55 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         hidden=hidden_store,
         catalog=tuple(catalog),
     )
+
+
+def _prepare_fold(ds, plan, fold, cf_params, k):
+    """Build one fold's split and return its test users' profiles, their
+    hidden sets and, when ``cf_params`` is given, the ``cf`` lists.
+
+    The split and the CF model live only in this call, so neither outlives
+    the fold.
+    """
+    split = materialize_split(ds, plan, fold)
+    profiles = {u: UserProfile.from_training(split.train, u) for u in plan.users_in_fold(fold)}
+    cf_lists = None
+    if cf_params is not None:
+        model = fit_cf(
+            split.train,
+            neighborhood_size=cf_params["neighborhood_size"],
+            similarity_metric=cf_params["similarity_metric"],
+        )
+        cf_lists = {u: recommend_cf(model, profile, k) for u, profile in profiles.items()}
+    return profiles, dict(split.hidden), cf_lists
+
+
+def _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold, k):
+    """Every content algorithm's lists on the attributes ``names``, for
+    every fold, keyed like ``ExperimentResult.lists``.
+
+    The index and the models fitted on it live only in this call, so at
+    most one selection's index is alive at a time.
+    """
+    index = build_index(corpus, names, stopwords)
+    empty = index.empty_item_ids
+    if empty:
+        log.info("selection %s: %d items have empty vectors", label, len(empty))
+    models = []
+    if "sup" in algorithms:
+        models.append(
+            ("sup", fit_sup(index, votes_per_item=algorithms["sup"]["votes_per_item"]), recommend_sup)
+        )
+    if "upa" in algorithms:
+        models.append((
+            "upa",
+            fit_upa(index, profile_term_budget=algorithms["upa"]["profile_term_budget"]),
+            recommend_upa,
+        ))
+    return {
+        (name, label, fold): {u: recommend(model, profile, k) for u, profile in profiles.items()}
+        for fold, profiles in profiles_by_fold.items()
+        for name, model, recommend in models
+    }
 
 
 _RECORD_KEY = ("algorithm", "attribute_selection", "fold", "k", "metric")
@@ -516,6 +569,8 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
         emit_plot_data(result.records, out / "plot_data.csv", result.intersections)
         written.append("plot_data.csv")
     else:
+        # a reused directory may still hold an earlier run's plot series
+        (out / "plot_data.csv").unlink(missing_ok=True)
         log.info("skipping plot_data.csv: only one k value configured")
 
     with open(out / "lists.csv", "w", encoding="utf-8", newline="") as fh:
@@ -553,9 +608,22 @@ def read_run_lists(run_dir):
     {user_id: RecommendationList} pooled across folds, and hidden maps
     user_id to the user's hidden item set. Test users whose list was empty
     have no rows in ``lists.csv``; they are restored as empty lists from the
-    user set of ``hidden.csv``.
+    user set of ``hidden.csv``. Every list's ``target_k`` is the run's
+    largest k, read from ``config.json``: the lists were cut there.
     """
     run = Path(run_dir)
+    config_path = run / "config.json"
+    with open(config_path, encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError:
+            config = None
+    k_values = config.get("k_values") if isinstance(config, dict) else None
+    if not isinstance(k_values, list) or not k_values or not all(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_values
+    ):
+        raise RecbenchError(f"{config_path}: no valid k_values, so the lists' cutoff is unknown")
+    target_k = max(k_values)
     rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float]]]] = {}
     with open(run / "lists.csv", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -575,9 +643,11 @@ def read_run_lists(run_dir):
             rows.sort()
             entries = tuple((item_id, score) for _, item_id, score in rows)
             lists[key][user_id] = RecommendationList(
-                user_id=user_id, entries=entries, target_k=max(len(entries), 1)
+                user_id=user_id, entries=entries, target_k=target_k
             )
         for user_id in hidden:
             if user_id not in lists[key]:
-                lists[key][user_id] = RecommendationList(user_id=user_id, entries=(), target_k=1)
+                lists[key][user_id] = RecommendationList(
+                    user_id=user_id, entries=(), target_k=target_k
+                )
     return lists, hidden

@@ -11,7 +11,7 @@ omit zero-score candidates (a list may therefore be shorter than requested).
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import InteractionDataset
 from .errors import ColdStartError
@@ -251,14 +251,45 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
 
 @dataclass(frozen=True)
 class SUPModel:
-    """Content model where profile items vote for their nearest items."""
+    """Content model where profile items vote for their nearest items.
+
+    The model owns a neighbour table that is empty after fitting and fills
+    on demand: for each voter item it keeps the item's unfiltered ranking
+    from ``top_k_similar`` (the item itself included) and the depth that
+    ranking was asked for. The index depends on neither the user nor the
+    fold, so one fitted model serves every user of every fold, and a voter
+    item shared by many profiles is ranked once. A fill that loses a race
+    with a concurrent one stores an equally exact ranking, so concurrent
+    queries stay correct.
+    """
 
     index: DocumentIndex
     votes_per_item: int
+    _neighbors: dict[str, tuple[int, list[tuple[str, float]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.votes_per_item < 1:
             raise ValueError("votes_per_item must be >= 1")
+
+    def neighbors(self, item_id: str, depth: int) -> list[tuple[str, float]]:
+        """The indexed item's most similar items, the item itself included.
+
+        Holds the top ``depth`` items, or every positively scored item when
+        fewer exist. A cached ranking is reused when it was asked for at
+        least ``depth`` items or came back shorter than it was asked for
+        (it is then complete); a full but shallower one is recomputed at
+        ``depth``.
+        """
+        cached = self._neighbors.get(item_id)
+        if cached is not None:
+            cached_depth, ranking = cached
+            if cached_depth >= depth or len(ranking) < cached_depth:
+                return ranking
+        ranking = top_k_similar(self.index, self.index.vector(item_id), depth)
+        self._neighbors[item_id] = (depth, ranking)
+        return ranking
 
 
 def fit_sup(index: DocumentIndex, votes_per_item: int = DEFAULT_VOTES_PER_ITEM) -> SUPModel:
@@ -274,19 +305,30 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
     Candidates are ranked by total accumulated weight. Voters are processed
     in ascending item-id order, so the result never depends on how the
     profile mapping happens to be ordered.
+
+    Nominations come from the model's neighbour table at depth
+    ``votes_per_item + len(profile)``: at most ``len(profile)`` of those
+    rows are profile items, so filtering them out and cutting at
+    ``votes_per_item`` leaves the same pairs, in the same order, as
+    excluding the profile before ranking. A similarity does not depend on
+    what is excluded, so the vote sums are identical to the last bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     profile_ids = sorted(user.items)
     exclude = set(profile_ids)
+    depth = model.votes_per_item + len(profile_ids)
     votes: dict[str, float] = {}
     for item_id in profile_ids:
-        if item_id not in model.index:
+        if item_id not in model.index or not model.index.vector(item_id):
             continue
-        vec = model.index.vector(item_id)
-        if not vec:
-            continue
-        for candidate, sim in top_k_similar(model.index, vec, model.votes_per_item, exclude=exclude):
+        nominated = 0
+        for candidate, sim in model.neighbors(item_id, depth):
+            if candidate in exclude:
+                continue
             votes[candidate] = votes.get(candidate, 0.0) + sim
+            nominated += 1
+            if nominated == model.votes_per_item:
+                break
     entries = sorted(votes.items(), key=lambda e: (-e[1], e[0]))
     return RecommendationList(user_id=user.user_id, entries=tuple(entries[:k]), target_k=k)

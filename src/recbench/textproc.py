@@ -5,6 +5,7 @@ that scores are bit-for-bit reproducible no matter which retrieval path
 computes them.
 """
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -169,20 +170,9 @@ class DocumentIndex:
         return tuple(sorted(i for i, v in self.vectors.items() if not v.entries))
 
 
-def build_index(
-    corpus: ContentCorpus,
-    attribute_selection: Sequence[str],
-    stopwords: AbstractSet[str] = frozenset(),
-) -> DocumentIndex:
-    """Build TF-IDF vectors over the selected content attributes.
-
-    Each item's document is the space-joined text of its selected
-    attributes, tokenized and filtered against ``stopwords``. Terms that
-    survive in only one document are discarded. A retained term's weight in
-    a document is its raw in-document count times ``ln(n_docs / df)``; no
-    vector length normalization is applied, so weights of exactly zero
-    (terms present in every document) are simply not stored.
-    """
+def check_selection(corpus: ContentCorpus, attribute_selection: Sequence[str]) -> tuple[str, ...]:
+    """Return ``attribute_selection`` as a tuple, or raise
+    ``ConfigurationError`` listing why it cannot be indexed over ``corpus``."""
     if len(corpus) == 0:
         raise ConfigurationError("content corpus is empty")
     selection = tuple(attribute_selection)
@@ -198,6 +188,24 @@ def build_index(
             problems.append(f"attribute {a!r} does not occur in any document")
     if problems:
         raise ConfigurationError(problems)
+    return selection
+
+
+def build_index(
+    corpus: ContentCorpus,
+    attribute_selection: Sequence[str],
+    stopwords: AbstractSet[str] = frozenset(),
+) -> DocumentIndex:
+    """Build TF-IDF vectors over the selected content attributes.
+
+    Each item's document is the space-joined text of its selected
+    attributes, tokenized and filtered against ``stopwords``. Terms that
+    survive in only one document are discarded. A retained term's weight in
+    a document is its raw in-document count times ``ln(n_docs / df)``; no
+    vector length normalization is applied, so weights of exactly zero
+    (terms present in every document) are simply not stored.
+    """
+    selection = check_selection(corpus, attribute_selection)
 
     counts_by_item: dict[str, Counter] = {}
     df: Counter = Counter()
@@ -240,24 +248,32 @@ def top_k_similar(
 
     Returns at most ``k`` ``(item_id, score)`` pairs with strictly positive
     scores, ordered by descending score with ties broken by ascending item
-    id; ids in ``exclude`` are never returned.
+    id; ids in ``exclude`` are never returned. Each item's dot product is
+    summed in ascending term order whatever ``exclude`` holds, so an item's
+    score never depends on which other items are excluded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     qnorm = query.norm()
     if qnorm == 0.0:
         return []
+    postings = index._postings
+    norms = index._norms
+    entries = query.entries
     dots: dict[str, float] = {}
-    for t in sorted(query.entries):
-        qw = query.entries[t]
-        for item_id, w in index.postings(t):
-            if item_id in exclude:
-                continue
-            dots[item_id] = dots.get(item_id, 0.0) + qw * w
-    scored = [
-        (item_id, d / (qnorm * index.norm(item_id)))
-        for item_id, d in dots.items()
-        if d > 0.0
-    ]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return scored[:k]
+    get = dots.get
+    for t in sorted(entries):
+        qw = entries[t]
+        for item_id, w in postings.get(t, ()):
+            dots[item_id] = get(item_id, 0.0) + qw * w
+    # negating a float is exact, so (-score, id) orders exactly as the
+    # documented (descending score, ascending id)
+    best = heapq.nsmallest(
+        k,
+        (
+            (-(d / (qnorm * norms[item_id])), item_id)
+            for item_id, d in dots.items()
+            if d > 0.0 and item_id not in exclude
+        ),
+    )
+    return [(item_id, -neg) for neg, item_id in best]

@@ -164,6 +164,17 @@ class TestCompare:
         assert 0.0 <= float(lines["jaccard@5"]) <= 1.0
         assert int(lines["exclusive_a"]) >= 0
 
+    def test_k_above_the_runs_largest_k_is_exit_1(self, finished_run):
+        proc = run_cli(
+            "compare",
+            "--run-a", str(finished_run), "--algorithm-a", "cf",
+            "--run-b", str(finished_run), "--algorithm-b", "sup",
+            "--k", "11",
+        )
+        assert proc.returncode == 1
+        assert "largest k" in proc.stderr and "(10)" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_run_dir_is_exit_1(self, finished_run, tmp_path):
         proc = run_cli(
             "compare", "--run-a", str(finished_run), "--algorithm-a", "cf",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -20,6 +21,7 @@ from recbench import (
     summarize,
     write_run_dir,
 )
+from recbench import harness
 
 
 def small_fixture(tmp_path, n_users=30, n_items=60, profile_size=24):
@@ -116,6 +118,20 @@ class TestConfig:
         assert selection_label("all") == "all"
         assert selection_label(("title", "plot")) == "title+plot"
 
+    @pytest.mark.parametrize(
+        "selections, label",
+        [
+            ([["plot"], ["plot"]], "plot"),
+            ([["title+plot"], ["title", "plot"]], "title+plot"),
+            (["all", ["all"]], "all"),
+        ],
+    )
+    def test_selections_sharing_a_label_rejected(self, paths, selections, label):
+        cfg = make_config(paths, attribute_selections=[["title"], *selections])
+        with pytest.raises(ConfigurationError, match=r"entries \[1, 2\] share the report label") as exc:
+            cfg.validate()
+        assert repr(label) in str(exc.value)
+
 
 class TestRunExperiment:
     def test_single_algorithm_record_count(self, paths):
@@ -145,6 +161,37 @@ class TestRunExperiment:
             assert set(lists) == set(result.hidden[fold])
             for lst in lists.values():
                 assert len(lst) <= max(cfg.k_values)
+
+    def test_one_index_and_one_split_alive_at_a_time(self, paths, monkeypatch):
+        built = {"build_index": [], "materialize_split": []}
+
+        def tracking(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                earlier = built[name]
+                assert all(ref() is None for ref in earlier), f"an earlier {name} result is alive"
+                result = original(*args, **kwargs)
+                earlier.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(harness, name, wrapper)
+
+        tracking("build_index")
+        tracking("materialize_split")
+        cfg = make_config(paths, attribute_selections=["all", ["plot"], ["title"]])
+        run_experiment(cfg)
+        assert len(built["build_index"]) == 3
+        assert len(built["materialize_split"]) == cfg.fold_count
+
+    def test_unknown_attribute_fails_before_any_split(self, paths, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise AssertionError("a fold was split before the selections were checked")
+
+        monkeypatch.setattr(harness, "materialize_split", no_split)
+        cfg = make_config(paths, attribute_selections=["all", ["nope"]])
+        with pytest.raises(ConfigurationError, match="'nope' does not occur"):
+            run_experiment(cfg)
 
     def test_attribute_selections_run_separately(self, paths):
         cfg = make_config(
@@ -255,6 +302,16 @@ class TestRunDir:
         assert "plot_data.csv" not in written
         assert not (tmp_path / "run" / "plot_data.csv").exists()
 
+    def test_reused_directory_drops_stale_plot_data(self, paths, tmp_path):
+        out = tmp_path / "run"
+        two_ks = make_config(paths, algorithms={"cf": {}}, k_values=[5, 10])
+        write_run_dir(run_experiment(two_ks), two_ks, out)
+        assert (out / "plot_data.csv").is_file()
+        one_k = make_config(paths, algorithms={"cf": {}}, k_values=[10])
+        written = write_run_dir(run_experiment(one_k), one_k, out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+        assert "plot_data.csv" not in written
+
     def test_lists_round_trip_including_empty(self, tmp_path):
         lists = {
             ("cf", "-", 0): {
@@ -282,4 +339,6 @@ class TestRunDir:
         assert pooled["u1"].entries == (("a", 2.0), ("b", 1.5))
         assert pooled["u2"].entries == ()
         assert pooled["u3"].entries == (("c", 1 / 3),)  # repr round-trips exactly
+        # the lists were cut at the run's largest k, which config.json records
+        assert {lst.target_k for lst in pooled.values()} == {max(cfg.k_values)}
         assert read_hidden == {"u1": {"x"}, "u2": {"y"}, "u3": {"c", "z"}}

@@ -15,13 +15,17 @@ from recbench import (
     fit_cf,
     fit_sup,
     fit_upa,
+    materialize_split,
+    plan_splits,
     recommend_cf,
     recommend_sup,
     recommend_upa,
 )
+from recbench import recommenders
 
 from conftest import as_term_dicts
 from oracles import oracle_sup, oracle_upa
+import synth
 
 
 def _profile(model_ds, user):
@@ -294,3 +298,79 @@ class TestAgainstBruteForce:
             assert list(sup.entries) == oracle_sup(vectors, profile_ids, votes, k)
             checked += 1
         assert checked >= 15
+
+
+def _count_top_k_calls(monkeypatch, index):
+    """Count ``top_k_similar`` calls from the recommenders, per voter item."""
+    voter_of = {id(vec): item_id for item_id, vec in index.vectors.items()}
+    calls = {}
+    original = recommenders.top_k_similar
+
+    def counting(index_arg, query, k, exclude=frozenset()):
+        voter = voter_of.get(id(query))
+        calls[voter] = calls.get(voter, 0) + 1
+        return original(index_arg, query, k, exclude)
+
+    monkeypatch.setattr(recommenders, "top_k_similar", counting)
+    return calls
+
+
+class TestNeighborTable:
+    """One fitted ``sup`` model keeps a per-voter neighbour table that is
+    shared by every user it serves."""
+
+    def test_shared_model_is_exact_in_any_order(self, monkeypatch):
+        rng = random.Random(77)
+        pool = [f"w{j:02d}" for j in range(10)]
+        corpus = ContentCorpus(
+            ItemDocument(f"i{n:02d}", {"text": " ".join(rng.choices(pool, k=rng.randint(0, 7)))})
+            for n in range(40)
+        )
+        index = build_index(corpus, ("text",))
+        vectors = as_term_dicts(index)
+        ids = sorted(vectors)
+        hub = next(i for i in ids if vectors[i])
+        others = [i for i in ids if i != hub]
+        users = []
+        for size in range(1, 9):
+            # every profile holds the hub voter; their sizes differ, so the
+            # depth asked of the hub's ranking differs from user to user
+            profile = [hub] + rng.sample(others, size - 1)
+            users.append(UserProfile(f"h{size}", {i: None for i in profile}))
+        for n in range(12):
+            profile = rng.sample(ids, rng.randint(1, 8))
+            users.append(UserProfile(f"r{n}", {i: None for i in profile}))
+        rng.shuffle(users)
+        votes, k = 3, 6
+
+        calls = _count_top_k_calls(monkeypatch, index)
+        shared = fit_sup(index, votes_per_item=votes)
+        got = {u.user_id: recommend_sup(shared, u, k) for u in users}
+        assert calls[hub] > 1, "the hub's ranking was never deepened"
+        for user in users:
+            expected = oracle_sup(vectors, list(user.items), votes, k)
+            assert list(got[user.user_id].entries) == expected, user.user_id
+            fresh = recommend_sup(fit_sup(index, votes_per_item=votes), user, k)
+            assert got[user.user_id].entries == fresh.entries, user.user_id
+
+    def test_one_ranking_per_voter_on_dense_preset(self, monkeypatch):
+        data = synth.dense()
+        ds = InteractionDataset(Interaction(u, i, float(r)) for u, i, r in data.interactions)
+        corpus = ContentCorpus(ItemDocument(i, attrs) for i, attrs in data.documents.items())
+        index = build_index(corpus, ("text",))
+        plan = plan_splits(ds, fold_count=10, rng_seed=0)
+        profiles = []
+        for fold in range(plan.fold_count):
+            split = materialize_split(ds, plan, fold)
+            profiles += [UserProfile.from_training(split.train, u) for u in plan.users_in_fold(fold)]
+        # largest profiles first: no later user asks for a deeper ranking
+        profiles.sort(key=lambda p: -len(p.items))
+
+        calls = _count_top_k_calls(monkeypatch, index)
+        model = fit_sup(index, votes_per_item=15)
+        for profile in profiles:
+            recommend_sup(model, profile, 100)
+        voters = {i for p in profiles for i in p.items if i in index and index.vector(i)}
+        uses = sum(1 for p in profiles for i in p.items if i in voters)
+        assert uses > 5 * len(voters)  # voters really are shared across users and folds
+        assert calls == dict.fromkeys(voters, 1)
