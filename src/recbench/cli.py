@@ -8,6 +8,8 @@ Exit codes: 0 on success, 1 for configuration or input-validation problems,
 import argparse
 import logging
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from .corpus import compute_stats, load_interactions
 from .errors import RecbenchError
@@ -51,22 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_stats(args) -> int:
     ds = load_interactions(args.interactions, format="implicit" if args.implicit else "explicit")
     stats = compute_stats(ds)
-    rows = [
-        ("n_users", str(stats.n_users)),
-        ("n_items", str(stats.n_items)),
-        ("n_activities", str(stats.n_activities)),
-        ("items_per_user_ratio", f"{stats.items_per_user_ratio:.6f}"),
-        ("avg_items_per_user", f"{stats.avg_items_per_user:.6f}"),
-        ("avg_users_per_item", f"{stats.avg_users_per_item:.6f}"),
-        ("max_items_per_user", str(stats.max_items_per_user)),
-        ("min_items_per_user", str(stats.min_items_per_user)),
-        ("max_users_per_item", str(stats.max_users_per_item)),
-        ("min_users_per_item", str(stats.min_users_per_item)),
-        ("sparsity", f"{stats.sparsity:.6f}"),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
-        print(f"{name:<{width}}  {value}")
+    names = [f.name for f in fields(stats)]
+    width = max(len(name) for name in names)
+    for name in names:
+        value = getattr(stats, name)
+        text = f"{value:.6f}" if isinstance(value, float) else str(value)
+        print(f"{name:<{width}}  {text}")
     return 0
 
 
@@ -98,7 +90,10 @@ def _cmd_compare(args) -> int:
     if args.k < 1:
         raise RecbenchError("--k must be >= 1")
     lists_a_all, hidden_a = read_run_lists(args.run_a)
-    lists_b_all, hidden_b = read_run_lists(args.run_b)
+    if Path(args.run_b).resolve() == Path(args.run_a).resolve():
+        lists_b_all, hidden_b = lists_a_all, hidden_a
+    else:
+        lists_b_all, hidden_b = read_run_lists(args.run_b)
     key_a = _pick(lists_a_all, args.algorithm_a, args.selection_a, "a", args.run_a)
     key_b = _pick(lists_b_all, args.algorithm_b, args.selection_b, "b", args.run_b)
     lists_a, lists_b = lists_a_all[key_a], lists_b_all[key_b]

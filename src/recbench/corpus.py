@@ -6,7 +6,7 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import EmptyDatasetError, ParseError, ProtocolError
+from .errors import EmptyDatasetError, ParseError, ProtocolError, decode_error
 
 INTERACTION_FORMATS = ("explicit", "implicit")
 
@@ -15,12 +15,11 @@ IMPLICIT_RATING = 1.0
 
 @dataclass(frozen=True)
 class Interaction:
-    """A single user-item activity, optionally rated and timestamped."""
+    """A single user-item activity, optionally rated."""
 
     user_id: str
     item_id: str
     rating: float | None = None
-    timestamp: int | None = None
 
     def __post_init__(self):
         if not self.user_id:
@@ -106,9 +105,7 @@ class InteractionDataset:
 def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 tab-separated fields, got {len(fields)}")
-    user_id, item_id = fields[0], fields[1]
     rating: float | None = None
-    timestamp: int | None = None
     if format == "explicit":
         if len(fields) > 4:
             raise ValueError(f"expected at most 4 tab-separated fields, got {len(fields)}")
@@ -117,21 +114,28 @@ def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
                 rating = float(fields[2])
             except ValueError:
                 raise ValueError(f"invalid rating {fields[2]!r}") from None
-        if len(fields) == 4:
-            try:
-                timestamp = int(fields[3])
-            except ValueError:
-                raise ValueError(f"invalid timestamp {fields[3]!r}") from None
+        timestamp = fields[3:]
     else:
         if len(fields) > 3:
             raise ValueError(f"expected at most 3 tab-separated fields, got {len(fields)}")
         rating = IMPLICIT_RATING
-        if len(fields) == 3:
-            try:
-                timestamp = int(fields[2])
-            except ValueError:
-                raise ValueError(f"invalid timestamp {fields[2]!r}") from None
-    return Interaction(user_id=user_id, item_id=item_id, rating=rating, timestamp=timestamp)
+        timestamp = fields[2:]
+    # the timestamp is checked but not kept: no step of the protocol reads it
+    if timestamp:
+        try:
+            int(timestamp[0])
+        except ValueError:
+            raise ValueError(f"invalid timestamp {timestamp[0]!r}") from None
+    return Interaction(user_id=fields[0], item_id=fields[1], rating=rating)
+
+
+def _numbered_lines(fh, path):
+    """Yield ``(line number, line)`` from the UTF-8 text file ``fh`` opened
+    from ``path``; bytes that are not UTF-8 raise a located ``ParseError``."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
 
 
 def load_interactions(path, format: str = "explicit") -> InteractionDataset:
@@ -147,7 +151,7 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
         raise ValueError(f"format must be one of {INTERACTION_FORMATS}, got {format!r}")
     records: dict[tuple[str, str], Interaction] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in _numbered_lines(fh, path):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
                 continue
@@ -214,7 +218,7 @@ def load_content(path) -> ContentCorpus:
     """
     docs: dict[str, ItemDocument] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in _numbered_lines(fh, path):
             line = raw.strip()
             if not line:
                 continue
@@ -222,6 +226,9 @@ def load_content(path) -> ContentCorpus:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno) from None
+            except (ValueError, RecursionError) as exc:
+                # an integer longer than int() accepts, or nesting deeper than the stack
+                raise ParseError(f"invalid JSON: {exc}", path=str(path), line=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("expected a JSON object", path=str(path), line=lineno)
             item_id = obj.get("item_id")

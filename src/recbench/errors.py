@@ -23,6 +23,19 @@ class ParseError(RecbenchError):
         self.line = line
 
 
+def decode_error(path) -> ParseError:
+    """A ``ParseError`` locating the first bytes of the file ``path`` that
+    are not valid UTF-8, by line and by byte offset from the file start."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"not valid UTF-8 at byte offset {exc.start}", path=str(path), line=line)
+    return ParseError("not valid UTF-8", path=str(path))
+
+
 class EmptyDatasetError(RecbenchError):
     """An input file contained no usable records."""
 

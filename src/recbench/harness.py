@@ -19,36 +19,15 @@ from .corpus import (
     materialize_split,
     plan_splits,
 )
-from .errors import ConfigurationError, RecbenchError
+from .errors import ConfigurationError, RecbenchError, decode_error
 from .metrics import EvalInput, evaluate, hit_intersection, jaccard_list_similarity
-from .recommenders import (
-    DEFAULT_NEIGHBORHOOD_SIZE,
-    DEFAULT_PROFILE_TERM_BUDGET,
-    DEFAULT_VOTES_PER_ITEM,
-    SIMILARITY_METRICS,
-    RecommendationList,
-    UserProfile,
-    fit_cf,
-    fit_sup,
-    fit_upa,
-    recommend_cf,
-    recommend_sup,
-    recommend_upa,
-)
+from .recommenders import ALGORITHMS, RecommendationList, UserProfile
 from .textproc import build_index, check_selection, default_stopwords, load_stopwords
 
 log = logging.getLogger("recbench")
 
-ALGORITHM_NAMES = ("cf", "sup", "upa")
-CONTENT_ALGORITHMS = ("sup", "upa")
-CF_SELECTION_LABEL = "-"
-LIST_METRICS = ("map", "map_nonempty", "ucov", "ccov")
-
-_DEFAULT_PARAMS = {
-    "cf": {"neighborhood_size": DEFAULT_NEIGHBORHOOD_SIZE, "similarity_metric": "cosine"},
-    "upa": {"profile_term_budget": DEFAULT_PROFILE_TERM_BUDGET},
-    "sup": {"votes_per_item": DEFAULT_VOTES_PER_ITEM},
-}
+# the selection label of lists from an algorithm that reads no content
+NO_SELECTION_LABEL = "-"
 
 
 @dataclass
@@ -60,7 +39,7 @@ class ExperimentConfig:
     content_path: str | None = None
     stopwords_path: str | None = None
     algorithms: Mapping[str, Mapping[str, object]] = field(
-        default_factory=lambda: {name: {} for name in ALGORITHM_NAMES}
+        default_factory=lambda: {name: {} for name in ALGORITHMS}
     )
     attribute_selections: Sequence[object] = ("all",)
     k_values: Sequence[int] = (10, 20, 30, 50, 100)
@@ -77,6 +56,8 @@ class ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from None
+            except UnicodeDecodeError:
+                raise ConfigurationError(str(decode_error(path))) from None
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
@@ -105,30 +86,24 @@ class ExperimentConfig:
             problems.append("algorithms must be a non-empty mapping of algorithm name to parameters")
             content_needed = False
         else:
-            unknown = sorted(set(self.algorithms) - set(ALGORITHM_NAMES))
-            for name in unknown:
-                problems.append(f"unknown algorithm {name!r} (choose from {list(ALGORITHM_NAMES)})")
+            for name in sorted(set(self.algorithms) - set(ALGORITHMS)):
+                problems.append(f"unknown algorithm {name!r} (choose from {list(ALGORITHMS)})")
             for name, params in self.algorithms.items():
-                if name not in ALGORITHM_NAMES:
-                    continue
-                if params is None:
+                spec = ALGORITHMS.get(name)
+                if spec is None or params is None:
                     continue
                 if not isinstance(params, Mapping):
                     problems.append(f"parameters for {name!r} must be a mapping")
                     continue
-                allowed = set(_DEFAULT_PARAMS[name])
-                for p in sorted(set(params) - allowed):
+                for p in sorted(set(params) - set(spec.params)):
                     problems.append(f"unknown parameter {p!r} for algorithm {name!r}")
-                for p in params.keys() & allowed:
-                    value = params[p]
-                    if p == "similarity_metric":
-                        if value not in SIMILARITY_METRICS:
-                            problems.append(
-                                f"{name}.{p} must be one of {list(SIMILARITY_METRICS)}, got {value!r}"
-                            )
-                    elif not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                        problems.append(f"{name}.{p} must be a positive integer, got {value!r}")
-            content_needed = any(a in self.algorithms for a in CONTENT_ALGORITHMS)
+                for p, (_, check) in spec.params.items():
+                    problem = check(params[p]) if p in params else None
+                    if problem:
+                        problems.append(f"{name}.{p} {problem}, got {params[p]!r}")
+            content_needed = any(
+                spec.needs_content for name, spec in ALGORITHMS.items() if name in self.algorithms
+            )
 
         if content_needed:
             if not self.content_path:
@@ -186,30 +161,23 @@ class ExperimentConfig:
 
     def resolved_algorithms(self) -> dict[str, dict[str, object]]:
         """Configured algorithms with defaults filled in for missing params."""
-        resolved = {}
-        for name in ALGORITHM_NAMES:
-            if name not in self.algorithms:
-                continue
-            params = dict(_DEFAULT_PARAMS[name])
-            params.update(self.algorithms[name] or {})
-            resolved[name] = params
-        return resolved
+        return {
+            name: {
+                **{p: default for p, (default, _) in spec.params.items()},
+                **(self.algorithms[name] or {}),
+            }
+            for name, spec in ALGORITHMS.items()
+            if name in self.algorithms
+        }
 
     def to_json_dict(self) -> dict:
         return {
-            "interactions_path": self.interactions_path,
-            "interactions_format": self.interactions_format,
-            "content_path": self.content_path,
-            "stopwords_path": self.stopwords_path,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "algorithms": {name: dict(params or {}) for name, params in self.algorithms.items()},
             "attribute_selections": [
                 sel if isinstance(sel, str) else list(sel) for sel in self.attribute_selections
             ],
             "k_values": list(self.k_values),
-            "fold_count": self.fold_count,
-            "given_n": self.given_n,
-            "min_train_items": self.min_train_items,
-            "rng_seed": self.rng_seed,
         }
 
 
@@ -269,12 +237,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the largest configured k. The work runs in three passes:
 
     1. Per fold: build the split, keep the test users' profiles and hidden
-       sets, and produce the ``cf`` lists. The split and the CF model are
-       dropped before the next fold's split is built.
-    2. Per attribute selection: build the index, fit ``sup`` and ``upa``
-       once, and produce their lists for every fold. The index, and the
-       ``sup`` neighbour table built on it, are dropped before the next
-       selection's index is built.
+       sets, and produce the lists of every algorithm that reads no content
+       (``cf``). The split and the models fitted on it are dropped before
+       the next fold's split is built.
+    2. Per attribute selection: build the index, fit each content algorithm
+       (``sup``, ``upa``) once, and produce its lists for every fold. The
+       index, and the ``sup`` neighbour table built on it, are dropped
+       before the next selection's index is built.
     3. Per fold: record quality and coverage metrics per (algorithm,
        selection, k); when several algorithms run, also compare their
        lists pairwise per selection (list-overlap records and run-level
@@ -282,12 +251,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
-    algorithms = config.resolved_algorithms()
-    cb_algorithms = [a for a in CONTENT_ALGORITHMS if a in algorithms]
+    # in name order, so a pair's records are named "<a>_x_<b>" with a < b
+    algorithms = [
+        (ALGORITHMS[name], params) for name, params in sorted(config.resolved_algorithms().items())
+    ]
+    fold_algorithms = [(spec, params) for spec, params in algorithms if not spec.needs_content]
+    content_algorithms = [(spec, params) for spec, params in algorithms if spec.needs_content]
 
     selections: list[tuple[str, ...]] = []
     labels: list[str] = []
-    if cb_algorithms:
+    if content_algorithms:
         corpus = load_content(config.content_path)
         gaps = corpus.missing_items(ds.items)
         if gaps:
@@ -315,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # reach the rated part; keeping both in the denominator is what lets
     # catalog coverage expose that.
     catalog: list[str] = list(ds.items)
-    if cb_algorithms:
+    if content_algorithms:
         seen = set(catalog)
         catalog.extend(i for i in sorted(corpus.item_ids()) if i not in seen)
     catalog_set = set(catalog)
@@ -324,16 +297,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     hidden_store: dict[int, dict[str, frozenset[str]]] = {}
     profiles_by_fold: dict[int, dict[str, UserProfile]] = {}
     for fold in range(config.fold_count):
-        profiles, hidden_store[fold], cf_lists = _prepare_fold(
-            ds, plan, fold, algorithms.get("cf"), kmax
+        profiles, hidden_store[fold], fold_lists = _prepare_fold(
+            ds, plan, fold, fold_algorithms, kmax
         )
         profiles_by_fold[fold] = profiles
-        if cf_lists is not None:
-            lists_store[("cf", CF_SELECTION_LABEL, fold)] = cf_lists
+        lists_store.update(fold_lists)
         log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(profiles))
     for names, label in zip(selections, labels):
         lists_store.update(
-            _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold, kmax)
+            _content_lists(
+                corpus, names, label, stopwords, content_algorithms, profiles_by_fold, kmax
+            )
         )
         log.info("selection %s done", label)
 
@@ -346,21 +320,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             lists = lists_store[key]
             for k in config.k_values:
                 report = evaluate(EvalInput(lists=lists, hidden=hidden, catalog=catalog_set, k=k))
-                records.append(ReportRecord(algorithm, label, fold, k, "map", report.map_at_k))
-                records.append(
-                    ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty)
-                )
-                records.append(ReportRecord(algorithm, label, fold, k, "ucov", report.ucov_at_k))
-                records.append(ReportRecord(algorithm, label, fold, k, "ccov", report.ccov_at_k))
+                for metric, value in (
+                    ("map", report.map_at_k),
+                    ("map_nonempty", report.map_at_k_nonempty),
+                    ("ucov", report.ucov_at_k),
+                    ("ccov", report.ccov_at_k),
+                ):
+                    records.append(ReportRecord(algorithm, label, fold, k, metric, value))
 
         if len(algorithms) >= 2:
-            for label in labels or [CF_SELECTION_LABEL]:
-                available: list[tuple[str, dict[str, RecommendationList]]] = []
-                if "cf" in algorithms:
-                    available.append(("cf", lists_store[("cf", CF_SELECTION_LABEL, fold)]))
-                for a in cb_algorithms:
-                    available.append((a, lists_store[(a, label, fold)]))
-                available.sort(key=lambda e: e[0])
+            for label in labels or [NO_SELECTION_LABEL]:
+                available = []
+                for spec, _ in algorithms:
+                    list_label = label if spec.needs_content else NO_SELECTION_LABEL
+                    available.append((spec.name, lists_store[(spec.name, list_label, fold)]))
                 for (name_a, lists_a), (name_b, lists_b) in combinations(available, 2):
                     pair = f"{name_a}_x_{name_b}"
                     for k in config.k_values:
@@ -385,29 +358,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _prepare_fold(ds, plan, fold, cf_params, k):
+def _prepare_fold(ds, plan, fold, algorithms, k):
     """Build one fold's split and return its test users' profiles, their
-    hidden sets and, when ``cf_params`` is given, the ``cf`` lists.
+    hidden sets and the lists of each ``(spec, params)`` in ``algorithms``
+    (content-free algorithms, fitted on the split's training set), keyed
+    like ``ExperimentResult.lists``.
 
-    The split and the CF model live only in this call, so neither outlives
-    the fold.
+    The split and the models live only in this call, so none outlives the
+    fold.
     """
     split = materialize_split(ds, plan, fold)
     profiles = {u: UserProfile.from_training(split.train, u) for u in plan.users_in_fold(fold)}
-    cf_lists = None
-    if cf_params is not None:
-        model = fit_cf(
-            split.train,
-            neighborhood_size=cf_params["neighborhood_size"],
-            similarity_metric=cf_params["similarity_metric"],
-        )
-        cf_lists = {u: recommend_cf(model, profile, k) for u, profile in profiles.items()}
-    return profiles, dict(split.hidden), cf_lists
+    lists = {}
+    for spec, params in algorithms:
+        model = spec.fit(split.train, **params)
+        lists[(spec.name, NO_SELECTION_LABEL, fold)] = {
+            u: spec.recommend(model, profile, k) for u, profile in profiles.items()
+        }
+    return profiles, dict(split.hidden), lists
 
 
 def _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold, k):
-    """Every content algorithm's lists on the attributes ``names``, for
-    every fold, keyed like ``ExperimentResult.lists``.
+    """The lists of each content algorithm ``(spec, params)`` in
+    ``algorithms`` on the attributes ``names``, for every fold, keyed like
+    ``ExperimentResult.lists``.
 
     The index and the models fitted on it live only in this call, so at
     most one selection's index is alive at a time.
@@ -416,21 +390,13 @@ def _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold
     empty = index.empty_item_ids
     if empty:
         log.info("selection %s: %d items have empty vectors", label, len(empty))
-    models = []
-    if "sup" in algorithms:
-        models.append(
-            ("sup", fit_sup(index, votes_per_item=algorithms["sup"]["votes_per_item"]), recommend_sup)
-        )
-    if "upa" in algorithms:
-        models.append((
-            "upa",
-            fit_upa(index, profile_term_budget=algorithms["upa"]["profile_term_budget"]),
-            recommend_upa,
-        ))
+    models = [(spec, spec.fit(index, **params)) for spec, params in algorithms]
     return {
-        (name, label, fold): {u: recommend(model, profile, k) for u, profile in profiles.items()}
+        (spec.name, label, fold): {
+            u: spec.recommend(model, profile, k) for u, profile in profiles.items()
+        }
         for fold, profiles in profiles_by_fold.items()
-        for name, model, recommend in models
+        for spec, model in models
     }
 
 
@@ -461,17 +427,7 @@ def emit_report(records, path, format: str = "csv") -> None:
                     [r.algorithm, r.attribute_selection, r.fold, r.k, r.metric, repr(r.value)]
                 )
     else:
-        payload = [
-            {
-                "algorithm": r.algorithm,
-                "attribute_selection": r.attribute_selection,
-                "fold": r.fold,
-                "k": r.k,
-                "metric": r.metric,
-                "value": r.value,
-            }
-            for r in rows
-        ]
+        payload = [{name: getattr(r, name) for name in (*_RECORD_KEY, "value")} for r in rows]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -510,13 +466,9 @@ def emit_plot_data(records, path, intersections=()) -> None:
     inter_series: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
     for rec in intersections:
         pair = f"{rec.algorithm_a}_x_{rec.algorithm_b}"
-        for metric, value in (
-            ("exclusive_a", rec.exclusive_a),
-            ("exclusive_b", rec.exclusive_b),
-            ("common", rec.common),
-        ):
+        for metric in ("exclusive_a", "exclusive_b", "common"):
             inter_series.setdefault((pair, rec.attribute_selection, metric), []).append(
-                (rec.k, value)
+                (rec.k, getattr(rec, metric))
             )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for key in sorted(series) + sorted(inter_series):
@@ -554,15 +506,10 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
 
     with open(out / "intersections.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["algorithm_a", "algorithm_b", "attribute_selection", "k",
-             "exclusive_a", "exclusive_b", "common"]
-        )
+        columns = [f.name for f in fields(IntersectionRecord)]
+        writer.writerow(columns)
         for rec in result.intersections:
-            writer.writerow(
-                [rec.algorithm_a, rec.algorithm_b, rec.attribute_selection, rec.k,
-                 rec.exclusive_a, rec.exclusive_b, rec.common]
-            )
+            writer.writerow([getattr(rec, name) for name in columns])
     written.append("intersections.csv")
 
     if len({r.k for r in result.records}) >= 2:
@@ -616,7 +563,7 @@ def read_run_lists(run_dir):
     with open(config_path, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             config = None
     k_values = config.get("k_values") if isinstance(config, dict) else None
     if not isinstance(k_values, list) or not k_values or not all(
@@ -624,30 +571,61 @@ def read_run_lists(run_dir):
     ):
         raise RecbenchError(f"{config_path}: no valid k_values, so the lists' cutoff is unknown")
     target_k = max(k_values)
-    rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float]]]] = {}
-    with open(run / "lists.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["algorithm"], row["attribute_selection"])
-            rows_by_key.setdefault(key, {}).setdefault(row["user_id"], []).append(
-                (int(row["rank"]), row["item_id"], float(row["score"]))
-            )
+    lists_path = run / "lists.csv"
+    # (rank, item, score, line) per (algorithm, selection) and user
+    rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {}
+    columns = ("algorithm", "attribute_selection", "user_id", "rank", "item_id", "score")
+    for line, row in _csv_rows(lists_path, columns):
+        try:
+            rank, score = int(row["rank"]), float(row["score"])
+        except (TypeError, ValueError):  # a short row holds None
+            raise RecbenchError(
+                f"{lists_path}:{line}: rank {row['rank']!r} is not an integer "
+                f"or score {row['score']!r} is not a number"
+            ) from None
+        key = (row["algorithm"], row["attribute_selection"])
+        rows_by_key.setdefault(key, {}).setdefault(row["user_id"], []).append(
+            (rank, row["item_id"], score, line)
+        )
     sets: dict[str, set[str]] = {}
-    with open(run / "hidden.csv", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            sets.setdefault(row["user_id"], set()).add(row["item_id"])
+    for _, row in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
+        sets.setdefault(row["user_id"], set()).add(row["item_id"])
     hidden = {u: frozenset(s) for u, s in sets.items()}
     lists: dict[tuple[str, str], dict[str, RecommendationList]] = {}
     for key, per_user in rows_by_key.items():
         lists[key] = {}
         for user_id, rows in per_user.items():
             rows.sort()
-            entries = tuple((item_id, score) for _, item_id, score in rows)
-            lists[key][user_id] = RecommendationList(
-                user_id=user_id, entries=entries, target_k=target_k
-            )
+            entries = tuple((item_id, score) for _, item_id, score, _ in rows)
+            try:
+                lists[key][user_id] = RecommendationList(
+                    user_id=user_id, entries=entries, target_k=target_k
+                )
+            except ValueError as exc:
+                first = min(line for *_, line in rows)
+                raise RecbenchError(
+                    f"{lists_path}:{first}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
+                ) from None
         for user_id in hidden:
             if user_id not in lists[key]:
                 lists[key][user_id] = RecommendationList(
                     user_id=user_id, entries=(), target_k=target_k
                 )
     return lists, hidden
+
+
+def _csv_rows(path, columns):
+    """Yield ``(line number, row)`` for each data row of the CSV file
+    ``path`` once its header is known to name every one of ``columns``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise RecbenchError(f"{path}:1: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                yield reader.line_num, row
+        except UnicodeDecodeError:
+            raise decode_error(path) from None
+        except csv.Error as exc:
+            raise RecbenchError(f"{path}:{reader.line_num}: {exc}") from None

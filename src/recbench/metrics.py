@@ -41,14 +41,15 @@ class MetricReport:
     ``map_at_k`` averages over every evaluated user (empty lists score 0);
     ``map_at_k_nonempty`` averages over users with at least one recommended
     item, as a side-by-side diagnostic for algorithms that cannot always
-    fill their lists.
+    fill their lists. ``ucov_at_k`` (user coverage) is the mean of
+    ``min(|list|, k) / k`` over every evaluated user; ``ccov_at_k`` (catalog
+    coverage) is the fraction of the catalog recommended to anyone.
     """
 
     map_at_k: float
     map_at_k_nonempty: float
     ucov_at_k: float
     ccov_at_k: float
-    per_user_ap: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -80,52 +81,13 @@ def average_precision_at_k(recs: RecommendationList, hidden: AbstractSet[str], k
     return total / min(len(hidden), k)
 
 
-def _active_users(inputs: EvalInput) -> list[str]:
-    users = sorted(inputs.lists)
-    if not users:
-        raise UndefinedMetricError("no users to evaluate")
-    return users
-
-
-def map_at_k(inputs: EvalInput) -> float:
-    """Unweighted mean average precision over every evaluated user."""
-    users = _active_users(inputs)
-    total = 0.0
-    for u in users:
-        total += average_precision_at_k(inputs.lists[u], inputs.hidden[u], inputs.k)
-    return total / len(users)
-
-
-def ucov_at_k(inputs: EvalInput) -> float:
-    """User coverage: mean filled fraction of the requested list length.
-
-    Each user contributes ``min(|list|, k) / k``; users with empty lists
-    count in the denominator.
-    """
-    users = _active_users(inputs)
-    total = 0.0
-    for u in users:
-        total += min(len(inputs.lists[u]), inputs.k) / inputs.k
-    return total / len(users)
-
-
-def ccov_at_k(inputs: EvalInput) -> float:
-    """Catalog coverage: fraction of the catalog recommended to anyone."""
-    if not inputs.catalog:
-        raise UndefinedMetricError("catalog is empty")
-    users = _active_users(inputs)
-    recommended: set[str] = set()
-    for u in users:
-        recommended.update(inputs.lists[u].item_ids(inputs.k))
-    return len(recommended) / len(inputs.catalog)
-
-
 def evaluate(inputs: EvalInput) -> MetricReport:
     """Compute every list metric for one batch in a single pass."""
     if not inputs.catalog:
         raise UndefinedMetricError("catalog is empty")
-    users = _active_users(inputs)
-    per_user_ap: dict[str, float] = {}
+    users = sorted(inputs.lists)
+    if not users:
+        raise UndefinedMetricError("no users to evaluate")
     recommended: set[str] = set()
     total = 0.0
     fill_total = 0.0
@@ -134,7 +96,6 @@ def evaluate(inputs: EvalInput) -> MetricReport:
     for u in users:
         lst = inputs.lists[u]
         ap = average_precision_at_k(lst, inputs.hidden[u], inputs.k)
-        per_user_ap[u] = ap
         total += ap
         fill_total += min(len(lst), inputs.k) / inputs.k
         if len(lst) > 0:
@@ -146,7 +107,6 @@ def evaluate(inputs: EvalInput) -> MetricReport:
         map_at_k_nonempty=(nonempty_total / nonempty_count) if nonempty_count else 0.0,
         ucov_at_k=fill_total / len(users),
         ccov_at_k=len(recommended) / len(inputs.catalog),
-        per_user_ap=per_user_ap,
     )
 
 

@@ -7,10 +7,11 @@
 All of them return lists sorted by descending score with ties broken by
 ascending item id, never recommend an item from the user's own profile, and
 omit zero-score candidates (a list may therefore be shorter than requested).
+``ALGORITHMS`` holds each one's parameters, defaults and inputs for a run.
 """
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from .corpus import InteractionDataset
@@ -106,11 +107,7 @@ class CFModel:
                 r = prof[i]
                 s += r * r
             self._norms[u] = math.sqrt(s)
-        item_users: dict[str, list[str]] = {}
-        for u, prof in self._ratings.items():
-            for i in prof:
-                item_users.setdefault(i, []).append(u)
-        self._item_users = {i: tuple(us) for i, us in item_users.items()}
+        self._users_of_item = train.users_of_item
 
     def __contains__(self, user_id: str) -> bool:
         return user_id in self._ratings
@@ -158,7 +155,7 @@ class CFModel:
         prof = self._ratings[user_id]
         co_users: set[str] = set()
         for i in prof:
-            co_users.update(self._item_users.get(i, ()))
+            co_users.update(self._users_of_item(i))
         co_users.discard(user_id)
         sims = []
         for v in sorted(co_users):
@@ -332,3 +329,63 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
                 break
     entries = sorted(votes.items(), key=lambda e: (-e[1], e[0]))
     return RecommendationList(user_id=user.user_id, entries=tuple(entries[:k]), target_k=k)
+
+
+def _positive_int(value) -> str | None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        return "must be a positive integer"
+    return None
+
+
+def _similarity_metric(value) -> str | None:
+    if value not in SIMILARITY_METRICS:
+        return f"must be one of {list(SIMILARITY_METRICS)}"
+    return None
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """How a run configures, fits and queries one recommender.
+
+    ``params`` maps each parameter, named as the keyword of ``fit_<name>``,
+    to its default and a check that returns why a value is invalid, or
+    ``None`` for a valid one. An algorithm that ``needs_content`` is fitted
+    on an attribute selection's ``DocumentIndex``, any other on a fold's
+    training ``InteractionDataset``.
+    """
+
+    name: str
+    params: Mapping[str, tuple[object, Callable[[object], str | None]]]
+    needs_content: bool
+
+    # fit_<name> and recommend_<name> are looked up when called, not when the
+    # table is built, so a wrapper rebound onto the module attribute (a
+    # profiler's or a test's) sees every call a run makes
+    def fit(self, source, **params):
+        return globals()[f"fit_{self.name}"](source, **params)
+
+    def recommend(self, model, user: UserProfile, k: int) -> RecommendationList:
+        return globals()[f"recommend_{self.name}"](model, user, k)
+
+
+ALGORITHMS: Mapping[str, AlgorithmSpec] = {
+    spec.name: spec
+    for spec in (
+        AlgorithmSpec(
+            "cf",
+            {
+                "neighborhood_size": (DEFAULT_NEIGHBORHOOD_SIZE, _positive_int),
+                "similarity_metric": ("cosine", _similarity_metric),
+            },
+            needs_content=False,
+        ),
+        AlgorithmSpec(
+            "sup", {"votes_per_item": (DEFAULT_VOTES_PER_ITEM, _positive_int)}, needs_content=True
+        ),
+        AlgorithmSpec(
+            "upa",
+            {"profile_term_budget": (DEFAULT_PROFILE_TERM_BUDGET, _positive_int)},
+            needs_content=True,
+        ),
+    )
+}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .corpus import ContentCorpus
-from .errors import ConfigurationError
+from .errors import ConfigurationError, decode_error
 
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -37,7 +37,11 @@ def _parse_stopword_lines(text: str) -> frozenset[str]:
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: UTF-8, one lowercase term per line."""
     with open(path, encoding="utf-8") as fh:
-        return _parse_stopword_lines(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise decode_error(path) from None
+    return _parse_stopword_lines(text)
 
 
 def default_stopwords() -> frozenset[str]:
@@ -101,21 +105,6 @@ class SparseVector:
             w = self.entries[i]
             s += w * w
         return math.sqrt(s)
-
-
-def cosine(a: SparseVector, b: SparseVector) -> float:
-    """Cosine similarity of two vectors over the same vocabulary.
-
-    Returns 0.0 when either vector has no entries (zero norm).
-    """
-    if not a.entries or not b.entries:
-        return 0.0
-    dot = 0.0
-    for i in sorted(a.entries.keys() & b.entries.keys()):
-        dot += a.entries[i] * b.entries[i]
-    if dot == 0.0:
-        return 0.0
-    return dot / (a.norm() * b.norm())
 
 
 class DocumentIndex:

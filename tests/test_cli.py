@@ -1,12 +1,19 @@
 """End-to-end checks of the command-line interface in real subprocesses."""
 
+import csv
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from recbench import cli
 from test_harness import small_fixture
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv, cwd=None):
@@ -182,19 +189,113 @@ class TestCompare:
         )
         assert proc.returncode == 1
 
-    def test_corrupt_run_dir_is_runtime_failure(self, finished_run, tmp_path):
-        import shutil
-
+    @pytest.mark.parametrize(
+        "case, location, fragment",
+        [
+            pytest.param(case, location, fragment, id=case)
+            for case, location, fragment in (
+                ("missing-column", "lists.csv:1:", "missing column(s) score"),
+                ("non-integer-rank", "lists.csv:2:", "rank 'first' is not an integer"),
+                ("non-numeric-score", "lists.csv:2:", "score 'high' is not a number"),
+                ("repeated-item", "lists.csv:2:", "duplicate item"),
+            )
+        ],
+    )
+    def test_malformed_lists_csv_is_exit_1(self, finished_run, tmp_path, case, location, fragment):
         broken = tmp_path / "broken"
         shutil.copytree(finished_run, broken)
-        # strip the score column header so list parsing blows up downstream
-        lists = broken / "lists.csv"
-        lines = lists.read_text().splitlines()
-        lines[0] = lines[0].replace("score", "points")
-        lists.write_text("\n".join(lines) + "\n")
+        with open(broken / "lists.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, first, second = rows[:3]
+        if case == "missing-column":
+            header[header.index("score")] = "points"
+        elif case == "non-integer-rank":
+            first[header.index("rank")] = "first"
+        elif case == "non-numeric-score":
+            first[header.index("score")] = "high"
+        else:
+            assert first[:4] == second[:4], "the first two rows should hold one user's list"
+            second[header.index("item_id")] = first[header.index("item_id")]
+        with open(broken / "lists.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         proc = run_cli(
             "compare", "--run-a", str(broken), "--algorithm-a", "cf",
             "--run-b", str(broken), "--algorithm-b", "cf", "--k", "10",
         )
-        assert proc.returncode == 2
-        assert "runtime failure" in proc.stderr
+        assert proc.returncode == 1, proc.stderr
+        assert f"{broken / location}" in proc.stderr
+        assert fragment in proc.stderr
+
+    def test_one_run_named_twice_is_read_once(self, finished_run, tmp_path, monkeypatch, capsys):
+        reads = []
+        read_run_lists = cli.read_run_lists
+
+        def counting(run_dir):
+            reads.append(run_dir)
+            return read_run_lists(run_dir)
+
+        monkeypatch.setattr(cli, "read_run_lists", counting)
+        copy = tmp_path / "copy"
+        shutil.copytree(finished_run, copy)
+        argv = ["compare", "--run-a", str(finished_run), "--algorithm-a", "cf",
+                "--algorithm-b", "sup", "--k", "10"]
+        assert cli.main([*argv, "--run-b", str(copy)]) == 0
+        from_two_dirs = capsys.readouterr().out
+        assert len(reads) == 2
+        same = f"{finished_run}/."  # another spelling of the same directory
+        assert cli.main([*argv, "--run-b", same]) == 0
+        from_one_dir = capsys.readouterr().out
+        assert len(reads) == 3
+        assert from_one_dir.replace(same, str(copy)) == from_two_dirs
+
+
+class TestUndecodableInput:
+    def test_interactions_file_is_exit_1(self, tmp_path):
+        p = tmp_path / "latin1.tsv"
+        p.write_bytes(b"u1\ta\t5\nu1\tcaf\xe9\t4\n")
+        proc = run_cli("stats", "--interactions", str(p))
+        assert proc.returncode == 1, proc.stderr
+        assert f"{p}:2: not valid UTF-8 at byte offset 13" in proc.stderr
+
+    def test_config_file_is_exit_1(self, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_bytes(b'{"interactions_path": "caf\xe9.tsv"}')
+        proc = run_cli("run", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert f"{p}:1: not valid UTF-8 at byte offset 26" in proc.stderr
+
+
+class TestTrace:
+    def test_traced_run_measures_every_target(self, tmp_path):
+        """perfbench/traced.py wraps recbench functions through their module
+        attributes; a call that bypasses them reads as zero in the benchmark."""
+        interactions, content = small_fixture(tmp_path)
+        config = {
+            "interactions_path": interactions,
+            "content_path": content,
+            "algorithms": {"cf": {}, "sup": {}, "upa": {}},
+            "attribute_selections": ["all", ["plot"]],
+            "k_values": [5, 10],
+            "fold_count": 5,
+            "rng_seed": 3,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        spans, out = tmp_path / "spans.json", tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(spans),
+             "run", "--config", str(config_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(spans.read_text())
+        assert trace["unmeasured"] == []
+        with open(out / "hidden.csv", encoding="utf-8", newline="") as fh:
+            test_users = {(row["fold"], row["user_id"]) for row in csv.DictReader(fh)}
+        selections = len(config["attribute_selections"])
+        assert trace["counts"]["lists.cf"] == len(test_users)
+        assert trace["counts"]["lists.sup"] == len(test_users) * selections
+        assert trace["counts"]["lists.upa"] == len(test_users) * selections

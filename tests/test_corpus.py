@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recbench import (
     DatasetStats,
@@ -135,6 +137,14 @@ class TestLoadInteractions:
         with pytest.raises(EmptyDatasetError):
             load_interactions(p)
 
+    def test_invalid_utf8_is_located(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_bytes(b"u1\ta\t3\n" + b"x" * 9000 + b"\tb\n\xff\tc\n")
+        with pytest.raises(ParseError, match=r"not valid UTF-8 at byte offset 9010") as exc:
+            load_interactions(p)
+        assert exc.value.line == 3
+        assert exc.value.path == str(p)
+
 
 class TestLoadContent:
     def test_round_trip_and_coercion(self, tmp_path):
@@ -170,6 +180,61 @@ class TestLoadContent:
         p.write_text('{"item_id": "m1", "attributes": {"cast": ["a", "b"]}}\n')
         with pytest.raises(ParseError):
             load_content(p)
+
+    def test_invalid_utf8_is_located(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'{"item_id": "m1", "attributes": {}}\n{"item_id": "caf\xc3"}\n')
+        with pytest.raises(ParseError, match=r"not valid UTF-8 at byte offset 52") as exc:
+            load_content(p)
+        assert exc.value.line == 2
+
+    def test_integer_beyond_the_digit_limit_is_located(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"item_id": "m1", "attributes": {"year": ' + "9" * 5000 + "}}\n")
+        with pytest.raises(ParseError, match="invalid JSON") as exc:
+            load_content(p)
+        assert exc.value.line == 1
+
+
+# Arbitrary bytes, and bytes built from the formats' own pieces so that many
+# inputs get past the first row.
+def _fuzz(pieces):
+    return st.binary(max_size=64) | st.lists(st.sampled_from(pieces), max_size=24).map(b"".join)
+
+
+INTERACTION_PIECES = [
+    b"u1", b"i2", b"\t", b"\n", b"\r", b"#", b" ", b"4.5", b"-1", b"nan", b"inf", b"12",
+    b"x", b"\xff", b"\xc3", b"\xc3\xa9", b"\x00",
+]
+CONTENT_PIECES = [
+    b'{"item_id": "m1", "attributes": {"title": "Heat"}}', b'{"item_id": ""}', b"{", b"}",
+    b"[", b"]", b'"', b":", b",", b"\n", b'"item_id"', b'"attributes"', b"1", b"1e999",
+    b"null", b"true", b"\\u", b"\xff", b"\xc3\xa9", b" ",
+]
+
+
+@given(_fuzz(INTERACTION_PIECES), st.sampled_from(["explicit", "implicit"]))
+def test_any_interactions_bytes_parse_or_raise_located_errors(tmp_path_factory, data, format):
+    p = tmp_path_factory.mktemp("fuzz") / "r.tsv"
+    p.write_bytes(data)
+    try:
+        load_interactions(p, format=format)
+    except ParseError as exc:
+        assert exc.path == str(p)
+    except EmptyDatasetError:
+        pass
+
+
+@given(_fuzz(CONTENT_PIECES))
+def test_any_content_bytes_parse_or_raise_located_errors(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
+    p.write_bytes(data)
+    try:
+        load_content(p)
+    except ParseError as exc:
+        assert exc.path == str(p)
+    except EmptyDatasetError:
+        pass
 
 
 class TestStats:

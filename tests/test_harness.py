@@ -81,6 +81,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             ExperimentConfig.from_json(p)
 
+    def test_invalid_utf8_is_located(self, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_bytes(b'{\n  "stopwords_path": "na\xefve.txt"\n}\n')
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig.from_json(p)
+        assert f"{p}:2: not valid UTF-8 at byte offset 25" in str(exc.value)
+
     def test_all_problems_reported_at_once(self, paths):
         cfg = make_config(
             paths,

@@ -10,12 +10,9 @@ from recbench import (
     RecommendationList,
     UndefinedMetricError,
     average_precision_at_k,
-    ccov_at_k,
     evaluate,
     hit_intersection,
     jaccard_list_similarity,
-    map_at_k,
-    ucov_at_k,
 )
 
 from oracles import (
@@ -73,7 +70,6 @@ class TestBatchMetrics:
             catalog=set(ITEMS),
             k=5,
         )
-        assert map_at_k(inp) == 0.5
         report = evaluate(inp)
         assert report.map_at_k == 0.5
         assert report.map_at_k_nonempty == 1.0
@@ -86,13 +82,13 @@ class TestBatchMetrics:
             catalog=set(wide),
             k=10,
         )
-        assert ucov_at_k(inp) == 0.75
+        assert evaluate(inp).ucov_at_k == 0.75
 
     def test_ucov_all_empty(self):
         inp = EvalInput(
             lists={"u1": rl("u1", [])}, hidden={"u1": {"a"}}, catalog={"a"}, k=3
         )
-        assert ucov_at_k(inp) == 0.0
+        assert evaluate(inp).ucov_at_k == 0.0
 
     def test_ccov_hand_value(self):
         catalog = {f"c{j}" for j in range(10)}
@@ -105,7 +101,7 @@ class TestBatchMetrics:
             catalog=catalog,
             k=5,
         )
-        assert ccov_at_k(inp) == 0.4
+        assert evaluate(inp).ccov_at_k == 0.4
 
     def test_ccov_union_is_idempotent(self):
         same = ["c1", "c2", "c3"]
@@ -115,19 +111,19 @@ class TestBatchMetrics:
             catalog={f"c{j}" for j in range(6)},
             k=5,
         )
-        assert ccov_at_k(inp) == 0.5
+        assert evaluate(inp).ccov_at_k == 0.5
 
     def test_no_users_is_undefined(self):
         inp = EvalInput(lists={}, hidden={}, catalog={"a"}, k=5)
         with pytest.raises(UndefinedMetricError):
-            map_at_k(inp)
+            evaluate(inp)
 
     def test_empty_catalog_is_undefined(self):
         inp = EvalInput(
             lists={"u": rl("u", ["a"])}, hidden={"u": {"a"}}, catalog=set(), k=5
         )
         with pytest.raises(UndefinedMetricError):
-            ccov_at_k(inp)
+            evaluate(inp)
 
     def test_list_without_hidden_rejected(self):
         with pytest.raises(ValueError):
@@ -144,13 +140,19 @@ class TestBatchMetrics:
                 hidden[uid] = frozenset(rng.sample(ITEMS, rng.randint(1, 3)))
             inp = EvalInput(lists=lists, hidden=hidden, catalog=set(ITEMS), k=rng.randint(1, 8))
             report = evaluate(inp)
-            assert report.map_at_k == map_at_k(inp)
-            assert report.ucov_at_k == ucov_at_k(inp)
-            assert report.ccov_at_k == ccov_at_k(inp)
-            for uid, lst in lists.items():
-                assert report.per_user_ap[uid] == average_precision_at_k(
-                    lst, hidden[uid], inp.k
-                )
+            # the means accumulate per-user values in ascending user order
+            total = nonempty_total = 0.0
+            nonempty = 0
+            for uid in sorted(lists):
+                ap = average_precision_at_k(lists[uid], hidden[uid], inp.k)
+                total += ap
+                if len(lists[uid]):
+                    nonempty_total += ap
+                    nonempty += 1
+            assert report.map_at_k == total / len(lists)
+            assert report.map_at_k_nonempty == (nonempty_total / nonempty if nonempty else 0.0)
+            assert report.ucov_at_k == oracle_ucov(ids_of(lists), inp.k)
+            assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, inp.k)
 
 
 class TestJaccard:
@@ -300,5 +302,5 @@ def test_ccov_never_decreases_with_k(instance):
     values = []
     for k in range(1, 9):
         inp = EvalInput(lists=lists, hidden=hidden, catalog=set(ITEMS), k=k)
-        values.append(ccov_at_k(inp))
+        values.append(evaluate(inp).ccov_at_k)
     assert values == sorted(values)

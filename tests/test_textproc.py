@@ -5,10 +5,12 @@ import pytest
 from recbench import (
     ConfigurationError,
     ContentCorpus,
+    DocumentIndex,
     ItemDocument,
+    ParseError,
     SparseVector,
+    Vocabulary,
     build_index,
-    cosine,
     default_stopwords,
     load_stopwords,
     tokenize,
@@ -47,6 +49,13 @@ class TestStopwords:
         p.write_text("foo\nBAR\n\n# not a comment, a term\n")
         sw = load_stopwords(p)
         assert "foo" in sw and "bar" in sw
+
+    def test_invalid_utf8_is_located(self, tmp_path):
+        p = tmp_path / "stop.txt"
+        p.write_bytes(b"the\nna\xefve\n")
+        with pytest.raises(ParseError, match="not valid UTF-8 at byte offset 6") as exc:
+            load_stopwords(p)
+        assert exc.value.line == 2
 
 
 class TestBuildIndex:
@@ -145,25 +154,41 @@ class TestVectors:
         with pytest.raises(ValueError):
             SparseVector({0: -0.5})
 
+    # cosine similarity is the score top_k_similar ranks by; an item a
+    # ranking omits has similarity zero to the query
+
+    @staticmethod
+    def cosine(a, b):
+        """The score of vector ``b`` as an indexed item queried by ``a``."""
+        n_terms = 1 + max([*a.entries, *b.entries], default=0)
+        vocab = Vocabulary(
+            terms=tuple(f"t{i:02d}" for i in range(n_terms)),
+            df={f"t{i:02d}": 2 for i in range(n_terms)},
+            n_docs=2,
+        )
+        ranked = top_k_similar(DocumentIndex(vocab, {"b": b}, ("text",)), a, 1)
+        return ranked[0][1] if ranked else 0.0
+
     def test_cosine_hand_value(self):
         a = SparseVector({0: 1.0, 1: 1.0})
         b = SparseVector({0: 1.0})
-        assert cosine(a, b) == 1 / math.sqrt(2)
+        assert self.cosine(a, b) == 1 / math.sqrt(2)
 
     def test_cosine_empty_is_zero(self):
-        assert cosine(SparseVector({}), SparseVector({0: 1.0})) == 0.0
+        assert self.cosine(SparseVector({}), SparseVector({0: 1.0})) == 0.0
+        assert self.cosine(SparseVector({0: 1.0}), SparseVector({})) == 0.0
 
     def test_cosine_disjoint_is_zero(self):
-        assert cosine(SparseVector({0: 1.0}), SparseVector({1: 1.0})) == 0.0
+        assert self.cosine(SparseVector({0: 1.0}), SparseVector({1: 1.0})) == 0.0
 
     def test_cosine_symmetric(self):
         a = SparseVector({0: 0.3, 2: 1.7, 5: 0.2})
         b = SparseVector({0: 1.1, 2: 0.4, 3: 9.0})
-        assert cosine(a, b) == cosine(b, a)
+        assert self.cosine(a, b) == self.cosine(b, a)
 
     def test_cosine_self_is_one(self):
         a = SparseVector({0: 0.25, 7: 3.5})
-        assert math.isclose(cosine(a, a), 1.0, rel_tol=1e-12)
+        assert math.isclose(self.cosine(a, a), 1.0, rel_tol=1e-12)
 
 
 class TestTopK:
