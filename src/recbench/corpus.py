@@ -15,20 +15,20 @@ IMPLICIT_RATING = 1.0
 
 @dataclass(frozen=True)
 class Interaction:
-    """A single user-item activity, optionally rated."""
+    """A single user-item activity; an unrated one counts as ``IMPLICIT_RATING``."""
 
     user_id: str
     item_id: str
-    rating: float | None = None
+    rating: float = IMPLICIT_RATING
 
     def __post_init__(self):
         if not self.user_id:
             raise ValueError("user_id must be a non-empty string")
         if not self.item_id:
             raise ValueError("item_id must be a non-empty string")
-        if self.rating is not None:
-            if not math.isfinite(self.rating) or self.rating < 0:
-                raise ValueError(f"rating must be finite and non-negative, got {self.rating!r}")
+        if self.rating is None or not math.isfinite(self.rating) or self.rating < 0:
+            raise ValueError(f"rating must be finite and non-negative, got {self.rating!r}")
+        object.__setattr__(self, "rating", float(self.rating))
 
 
 class InteractionDataset:
@@ -49,7 +49,7 @@ class InteractionDataset:
         self.interactions: tuple[Interaction, ...] = tuple(interactions)
         if not self.interactions:
             raise EmptyDatasetError("dataset must contain at least one interaction")
-        profiles: dict[str, dict[str, float | None]] = {}
+        profiles: dict[str, dict[str, float]] = {}
         item_users: dict[str, list[str]] = {}
         seen: set[tuple[str, str]] = set()
         for x in self.interactions:
@@ -85,11 +85,11 @@ class InteractionDataset:
         return len(self.interactions)
 
     @property
-    def profiles(self) -> Mapping[str, Mapping[str, float | None]]:
-        """Read-only view of user -> {item -> rating-or-None}."""
+    def profiles(self) -> Mapping[str, Mapping[str, float]]:
+        """Read-only view of user -> {item -> rating}."""
         return self._profiles
 
-    def profile(self, user_id: str) -> Mapping[str, float | None]:
+    def profile(self, user_id: str) -> Mapping[str, float]:
         """Items rated by ``user_id`` (empty for catalog-only users)."""
         if user_id not in self._user_set:
             raise KeyError(user_id)
@@ -105,7 +105,7 @@ class InteractionDataset:
 def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 tab-separated fields, got {len(fields)}")
-    rating: float | None = None
+    rating = IMPLICIT_RATING
     if format == "explicit":
         if len(fields) > 4:
             raise ValueError(f"expected at most 4 tab-separated fields, got {len(fields)}")
@@ -118,7 +118,6 @@ def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
     else:
         if len(fields) > 3:
             raise ValueError(f"expected at most 3 tab-separated fields, got {len(fields)}")
-        rating = IMPLICIT_RATING
         timestamp = fields[2:]
     # the timestamp is checked but not kept: no step of the protocol reads it
     if timestamp:
@@ -142,10 +141,10 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
     """Read a UTF-8, tab-separated activity file into a dataset.
 
     Rows are ``user<TAB>item[<TAB>rating[<TAB>timestamp]]`` in the explicit
-    format and ``user<TAB>item[<TAB>timestamp]`` in the implicit one, where
-    every activity is recorded with unit rating 1.0. Lines starting with
-    ``#`` and blank lines are skipped. When a (user, item) pair repeats, the
-    last occurrence wins.
+    format and ``user<TAB>item[<TAB>timestamp]`` in the implicit one; a row
+    without a rating, so every implicit row, is recorded with rating 1.0.
+    Lines starting with ``#`` and blank lines are skipped. When a (user,
+    item) pair repeats, the last occurrence wins.
     """
     if format not in INTERACTION_FORMATS:
         raise ValueError(f"format must be one of {INTERACTION_FORMATS}, got {format!r}")
@@ -214,7 +213,8 @@ def load_content(path) -> ContentCorpus:
 
     Each line is an object ``{"item_id": ..., "attributes": {name: text}}``.
     Scalar attribute values are coerced to strings; blank lines are skipped
-    and a repeated item_id keeps its last document.
+    and a repeated item_id keeps its last document. A string that escapes a
+    lone surrogate (``"\\ud800"``) cannot be written as UTF-8 and is an error.
     """
     docs: dict[str, ItemDocument] = {}
     with open(path, encoding="utf-8") as fh:
@@ -224,8 +224,13 @@ def load_content(path) -> ContentCorpus:
                 continue
             try:
                 obj = json.loads(line)
+                if "\\u" in line:
+                    # a lone surrogate can only come from an escape: no UTF-8 file holds one
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno) from None
+            except UnicodeEncodeError:
+                raise ParseError("a \\u escape makes a lone surrogate", path=str(path), line=lineno) from None
             except (ValueError, RecursionError) as exc:
                 # an integer longer than int() accepts, or nesting deeper than the stack
                 raise ParseError(f"invalid JSON: {exc}", path=str(path), line=lineno) from None
@@ -305,7 +310,7 @@ class DatasetStats:
 
 def compute_stats(ds: InteractionDataset) -> DatasetStats:
     """Compute descriptive statistics for ``ds``."""
-    per_user = [len(ds.profile(u)) if ds.has_user(u) else 0 for u in ds.users]
+    per_user = [len(ds.profile(u)) for u in ds.users]
     per_item = [len(ds.users_of_item(i)) for i in ds.items]
     return DatasetStats.from_counts(
         n_users=ds.n_users,
@@ -354,7 +359,7 @@ def plan_splits(
     if min_train_items < 1:
         raise ValueError("min_train_items must be >= 1")
     threshold = given_n + min_train_items
-    eligible = sorted(u for u in ds.users if ds.has_user(u) and len(ds.profile(u)) >= threshold)
+    eligible = sorted(u for u in ds.users if len(ds.profile(u)) >= threshold)
     if not eligible:
         raise ProtocolError(
             f"no user has the {threshold} interactions required by the holdout protocol"
@@ -377,7 +382,7 @@ def plan_splits(
 
 @dataclass(frozen=True)
 class HoldoutSplit:
-    """One fold's training dataset plus the per-user hidden item sets."""
+    """One fold's training dataset plus the hidden items of each fold user, by ascending id."""
 
     train: InteractionDataset
     hidden: Mapping[str, frozenset[str]]

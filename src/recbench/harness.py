@@ -368,7 +368,7 @@ def _prepare_fold(ds, plan, fold, algorithms, k):
     fold.
     """
     split = materialize_split(ds, plan, fold)
-    profiles = {u: UserProfile.from_training(split.train, u) for u in plan.users_in_fold(fold)}
+    profiles = {u: UserProfile.from_training(split.train, u) for u in split.hidden}
     lists = {}
     for spec, params in algorithms:
         model = spec.fit(split.train, **params)

@@ -10,6 +10,7 @@ omit zero-score candidates (a list may therefore be shorter than requested).
 ``ALGORITHMS`` holds each one's parameters, defaults and inputs for a run.
 """
 
+import heapq
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -26,10 +27,10 @@ SIMILARITY_METRICS = ("cosine", "pearson")
 
 @dataclass(frozen=True)
 class UserProfile:
-    """A user's training-time items, with ratings where available."""
+    """A user's training-time items and their ratings."""
 
     user_id: str
-    items: Mapping[str, float | None]
+    items: Mapping[str, float]
 
     def __post_init__(self):
         if not self.user_id:
@@ -81,12 +82,19 @@ class RecommendationList:
         return tuple(item_id for item_id, _ in rows)
 
 
+def _top(scores: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+    """The ``k`` best positive ``(id, score)`` pairs by the exact key ``(-score, id)``
+    (negation loses nothing); given a list, nsmallest sorts one no longer than ``k``."""
+    best = heapq.nsmallest(k, [(-s, i) for i, s in scores.items() if s > 0.0])
+    return [(i, -neg) for neg, i in best]
+
+
 class CFModel:
     """User-based nearest-neighbour model over the training matrix.
 
-    Interactions without an explicit rating count as 1.0, so purely implicit
-    data yields a binary matrix. Instances are immutable after fitting and
-    safe for concurrent queries.
+    It reads the training set's ratings in place; an unrated interaction was
+    loaded as 1.0, so purely implicit data yields a binary matrix. Instances
+    are immutable after fitting and safe for concurrent queries.
     """
 
     def __init__(self, train: InteractionDataset, neighborhood_size: int, similarity_metric: str):
@@ -96,28 +104,24 @@ class CFModel:
             raise ValueError(f"similarity_metric must be one of {SIMILARITY_METRICS}")
         self.neighborhood_size = neighborhood_size
         self.similarity_metric = similarity_metric
-        self._ratings: dict[str, dict[str, float]] = {
-            u: {i: (1.0 if r is None else float(r)) for i, r in prof.items()}
-            for u, prof in train.profiles.items()
-        }
+        self._profiles = train.profiles
         self._norms: dict[str, float] = {}
-        for u, prof in self._ratings.items():
+        for u, prof in self._profiles.items():
             s = 0.0
             for i in sorted(prof):
-                r = prof[i]
-                s += r * r
+                s += prof[i] * prof[i]
             self._norms[u] = math.sqrt(s)
         self._users_of_item = train.users_of_item
 
     def __contains__(self, user_id: str) -> bool:
-        return user_id in self._ratings
+        return user_id in self._profiles
 
     def ratings_of(self, user_id: str) -> Mapping[str, float]:
-        return self._ratings[user_id]
+        return self._profiles[user_id]
 
     def similarity(self, user_a: str, user_b: str) -> float:
         """Similarity between two known users under the configured metric."""
-        pa, pb = self._ratings[user_a], self._ratings[user_b]
+        pa, pb = self._profiles[user_a], self._profiles[user_b]
         common = sorted(pa.keys() & pb.keys())
         if self.similarity_metric == "cosine":
             dot = 0.0
@@ -152,18 +156,12 @@ class CFModel:
         Only users with strictly positive similarity qualify; at most
         ``neighborhood_size`` are returned, ties broken by ascending id.
         """
-        prof = self._ratings[user_id]
         co_users: set[str] = set()
-        for i in prof:
+        for i in self._profiles[user_id]:
             co_users.update(self._users_of_item(i))
         co_users.discard(user_id)
-        sims = []
-        for v in sorted(co_users):
-            s = self.similarity(user_id, v)
-            if s > 0.0:
-                sims.append((v, s))
-        sims.sort(key=lambda e: (-e[1], e[0]))
-        return tuple(sims[: self.neighborhood_size])
+        sims = {v: self.similarity(user_id, v) for v in co_users}
+        return tuple(_top(sims, self.neighborhood_size))
 
 
 def fit_cf(
@@ -196,9 +194,7 @@ def recommend_cf(model: CFModel, user: UserProfile, k: int) -> RecommendationLis
             if i in own:
                 continue
             scores[i] = scores.get(i, 0.0) + sim * ratings[i]
-    entries = [(i, s) for i, s in scores.items() if s > 0.0]
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    return RecommendationList(user_id=user.user_id, entries=tuple(entries[:k]), target_k=k)
+    return RecommendationList(user_id=user.user_id, entries=tuple(_top(scores, k)), target_k=k)
 
 
 @dataclass(frozen=True)
@@ -327,8 +323,7 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
             nominated += 1
             if nominated == model.votes_per_item:
                 break
-    entries = sorted(votes.items(), key=lambda e: (-e[1], e[0]))
-    return RecommendationList(user_id=user.user_id, entries=tuple(entries[:k]), target_k=k)
+    return RecommendationList(user_id=user.user_id, entries=tuple(_top(votes, k)), target_k=k)
 
 
 def _positive_int(value) -> str | None:

@@ -212,7 +212,7 @@ def build_index(
         )
     n_docs = len(corpus)
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
-    index_of = {t: i for i, t in enumerate(terms)}
+    index_of = vocab._index
     vectors: dict[str, SparseVector] = {}
     for item_id, counts in counts_by_item.items():
         entries: dict[int, float] = {}

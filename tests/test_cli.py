@@ -264,6 +264,27 @@ class TestUndecodableInput:
         assert proc.returncode == 1, proc.stderr
         assert f"{p}:1: not valid UTF-8 at byte offset 26" in proc.stderr
 
+    def test_content_escaping_a_lone_surrogate_is_exit_1(self, tmp_path):
+        """The escaped id copies a recommended item's text; it cannot be
+        written as UTF-8, so it must be rejected before any output exists."""
+        interactions, content = small_fixture(tmp_path)
+        with open(content, "a") as fh:
+            doc = {"item_id": "\ud800x", "attributes": {"plot": "t0w1 t0w2 t0w3"}}
+            fh.write(json.dumps(doc) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "interactions_path": interactions,
+            "content_path": content,
+            "algorithms": {"sup": {}},
+            "k_values": [5, 10],
+            "fold_count": 5,
+        }))
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert f"{content}:61:" in proc.stderr
+        assert not out.exists()
+
 
 class TestTrace:
     def test_traced_run_measures_every_target(self, tmp_path):

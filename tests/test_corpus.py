@@ -40,7 +40,10 @@ class TestInteraction:
             Interaction("u1", "i1", float("inf"))
 
     def test_rating_is_optional(self):
-        assert Interaction("u1", "i1").rating is None
+        assert Interaction("u1", "i1").rating == 1.0
+        assert type(Interaction("u1", "i1", 4).rating) is float
+        with pytest.raises(ValueError):
+            Interaction("u1", "i1", None)
 
 
 class TestInteractionDataset:
@@ -88,7 +91,7 @@ class TestLoadInteractions:
             "u2\ta\t3.5\t987654\n"
         )
         ds = load_interactions(p)
-        assert ds.profile("u1") == {"a": None, "b": 4.0}
+        assert ds.profile("u1") == {"a": 1.0, "b": 4.0}
         assert ds.profile("u2") == {"a": 3.5}
 
     def test_implicit_rating_is_constant(self, tmp_path):
@@ -187,6 +190,27 @@ class TestLoadContent:
         with pytest.raises(ParseError, match=r"not valid UTF-8 at byte offset 52") as exc:
             load_content(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            r'{"item_id": "\ud800x", "attributes": {"title": "a"}}',
+            r'{"item_id": "m2", "attributes": {"ti\udc00tle": "a"}}',
+            r'{"item_id": "m2", "attributes": {"title": "a \ud83d b"}}',
+        ],
+        ids=["item-id", "attribute-name", "text"],
+    )
+    def test_lone_surrogate_escape_is_located(self, tmp_path, line):
+        """A lone surrogate cannot be encoded as UTF-8, so it would crash
+        the run directory's writer once the item is recommended."""
+        p = tmp_path / "c.jsonl"
+        # escapes that make whole characters, a surrogate pair included, are fine
+        first = r'{"item_id": "m1", "attributes": {"title": "\u00e9 \ud83d\ude00"}}'
+        p.write_text(first + "\n" + line + "\n")
+        with pytest.raises(ParseError, match="lone surrogate") as exc:
+            load_content(p)
+        assert exc.value.line == 2
+        assert str(p) in str(exc.value)
 
     def test_integer_beyond_the_digit_limit_is_located(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recbench import (
     ColdStartError,
@@ -73,7 +75,27 @@ def entries_close(entries, expected):
     )
 
 
+@given(
+    st.dictionaries(
+        st.text("abc", max_size=3),
+        st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0),
+        max_size=30,
+    ),
+    st.integers(1, 40),
+)
+def test_top_is_the_documented_ranking(scores, k):
+    """Many ties, zeros and negatives: ``_top`` keeps the positive scores,
+    by descending score and then ascending id, cut at ``k``."""
+    positive = [(i, s) for i, s in scores.items() if s > 0.0]
+    assert recommenders._top(scores, k) == sorted(positive, key=lambda e: (-e[1], e[0]))[:k]
+
+
 class TestCF:
+    def test_reads_training_ratings_in_place(self, ratings_4x5):
+        model = fit_cf(ratings_4x5)
+        for u in ratings_4x5.users:
+            assert model.ratings_of(u) is ratings_4x5.profile(u)
+
     def test_hand_computed_similarities(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
         assert close(model.similarity("u1", "u2"), 20 / math.sqrt(35 * 32))
