@@ -80,7 +80,7 @@ def _pick(lists, algorithm, selection, side, run_dir):
     if len(matches) != 1:
         available = ", ".join(f"{a}/{s}" for a, s in keys)
         raise RecbenchError(
-            f"run {run_dir} holds {len(matches) or len(keys)} matching list sets "
+            f"run {run_dir} holds {len(matches)} matching list sets "
             f"({available}); pick one with --algorithm-{side}/--selection-{side}"
         )
     return matches[0]

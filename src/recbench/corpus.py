@@ -51,13 +51,11 @@ class InteractionDataset:
             raise EmptyDatasetError("dataset must contain at least one interaction")
         profiles: dict[str, dict[str, float]] = {}
         item_users: dict[str, list[str]] = {}
-        seen: set[tuple[str, str]] = set()
         for x in self.interactions:
-            pair = (x.user_id, x.item_id)
-            if pair in seen:
-                raise ValueError(f"duplicate interaction for {pair!r}")
-            seen.add(pair)
-            profiles.setdefault(x.user_id, {})[x.item_id] = x.rating
+            profile = profiles.setdefault(x.user_id, {})
+            if x.item_id in profile:
+                raise ValueError(f"duplicate interaction for {(x.user_id, x.item_id)!r}")
+            profile[x.item_id] = x.rating
             item_users.setdefault(x.item_id, []).append(x.user_id)
         self.users: tuple[str, ...] = tuple(users) if users is not None else tuple(profiles)
         self.items: tuple[str, ...] = tuple(items) if items is not None else tuple(item_users)
@@ -404,9 +402,6 @@ def materialize_split(ds: InteractionDataset, plan: SplitPlan, fold: int) -> Hol
         # string seeds hash the text itself, immune to per-process hash randomization
         rng = random.Random(f"{plan.rng_seed}:{fold}:{user}")
         hidden[user] = frozenset(rng.sample(candidates, plan.given_n))
-    hidden_pairs = {(u, i) for u, items in hidden.items() for i in items}
-    train_rows = tuple(
-        x for x in ds.interactions if (x.user_id, x.item_id) not in hidden_pairs
-    )
+    train_rows = tuple(x for x in ds.interactions if x.item_id not in hidden.get(x.user_id, ()))
     train = InteractionDataset(train_rows, users=ds.users, items=ds.items)
     return HoldoutSplit(train=train, hidden=hidden)

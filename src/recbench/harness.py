@@ -10,6 +10,7 @@ import statistics
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import (
@@ -400,7 +401,14 @@ def _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold
     }
 
 
-_RECORD_KEY = ("algorithm", "attribute_selection", "fold", "k", "metric")
+def _write_csv(path, header, rows) -> None:
+    """Write a run directory CSV file: UTF-8, ``\\n`` line ends, minimal
+    quoting, and a float as its ``repr`` (the csv module's own choice), so
+    reading it back recovers the exact value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _sorted_records(records) -> list[ReportRecord]:
@@ -417,17 +425,11 @@ def emit_report(records, path, format: str = "csv") -> None:
     rows = _sorted_records(records)
     if not rows:
         raise ValueError("no records to emit")
-    path = Path(path)
+    columns = [f.name for f in fields(ReportRecord)]
     if format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([*_RECORD_KEY, "value"])
-            for r in rows:
-                writer.writerow(
-                    [r.algorithm, r.attribute_selection, r.fold, r.k, r.metric, repr(r.value)]
-                )
+        _write_csv(path, columns, map(attrgetter(*columns), rows))
     else:
-        payload = [{name: getattr(r, name) for name in (*_RECORD_KEY, "value")} for r in rows]
+        payload = [{name: getattr(r, name) for name in columns} for r in rows]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -497,20 +499,11 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
     emit_report(result.records, out / "records.json", "json")
     written += ["records.csv", "records.json"]
 
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "attribute_selection", "k", "metric", "mean", "std"])
-        for algorithm, label, k, metric, mean, std in summarize(result.records):
-            writer.writerow([algorithm, label, k, metric, repr(mean), repr(std)])
-    written.append("summary.csv")
-
-    with open(out / "intersections.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        columns = [f.name for f in fields(IntersectionRecord)]
-        writer.writerow(columns)
-        for rec in result.intersections:
-            writer.writerow([getattr(rec, name) for name in columns])
-    written.append("intersections.csv")
+    header = ["algorithm", "attribute_selection", "k", "metric", "mean", "std"]
+    _write_csv(out / "summary.csv", header, summarize(result.records))
+    columns = [f.name for f in fields(IntersectionRecord)]
+    _write_csv(out / "intersections.csv", columns, map(attrgetter(*columns), result.intersections))
+    written += ["summary.csv", "intersections.csv"]
 
     if len({r.k for r in result.records}) >= 2:
         emit_plot_data(result.records, out / "plot_data.csv", result.intersections)
@@ -520,26 +513,27 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
         (out / "plot_data.csv").unlink(missing_ok=True)
         log.info("skipping plot_data.csv: only one k value configured")
 
-    with open(out / "lists.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["algorithm", "attribute_selection", "fold", "user_id", "rank", "item_id", "score"]
-        )
-        for (algorithm, label, fold) in sorted(result.lists):
-            lists = result.lists[(algorithm, label, fold)]
-            for user_id in sorted(lists):
-                for rank, (item_id, score) in enumerate(lists[user_id].entries, start=1):
-                    writer.writerow([algorithm, label, fold, user_id, rank, item_id, repr(score)])
-    written.append("lists.csv")
-
-    with open(out / "hidden.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold", "user_id", "item_id"])
-        for fold in sorted(result.hidden):
-            for user_id in sorted(result.hidden[fold]):
-                for item_id in sorted(result.hidden[fold][user_id]):
-                    writer.writerow([fold, user_id, item_id])
-    written.append("hidden.csv")
+    _write_csv(
+        out / "lists.csv",
+        ["algorithm", "attribute_selection", "fold", "user_id", "rank", "item_id", "score"],
+        (
+            (*key, user_id, rank, item_id, score)
+            for key, lists in sorted(result.lists.items())
+            for user_id in sorted(lists)
+            for rank, (item_id, score) in enumerate(lists[user_id].entries, start=1)
+        ),
+    )
+    _write_csv(
+        out / "hidden.csv",
+        ["fold", "user_id", "item_id"],
+        (
+            (fold, user_id, item_id)
+            for fold, per_user in sorted(result.hidden.items())
+            for user_id in sorted(per_user)
+            for item_id in sorted(per_user[user_id])
+        ),
+    )
+    written += ["lists.csv", "hidden.csv"]
 
     with open(out / "config.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -553,10 +547,12 @@ def read_run_lists(run_dir):
 
     Returns ``(lists, hidden)`` where lists maps (algorithm, selection) to
     {user_id: RecommendationList} pooled across folds, and hidden maps
-    user_id to the user's hidden item set. Test users whose list was empty
-    have no rows in ``lists.csv``; they are restored as empty lists from the
-    user set of ``hidden.csv``. Every list's ``target_k`` is the run's
-    largest k, read from ``config.json``: the lists were cut there.
+    user_id to the user's hidden item set. The list sets are the ones the
+    run's ``config.json`` configured (each algorithm with each selection
+    label, or with ``NO_SELECTION_LABEL`` when it reads no content), and each
+    holds a list for every user of ``hidden.csv``: an empty list has no rows
+    in ``lists.csv``, so even a set whose lists are all empty is restored.
+    Every list's ``target_k`` is the run's largest k: the lists were cut there.
     """
     run = Path(run_dir)
     config_path = run / "config.json"
@@ -565,15 +561,36 @@ def read_run_lists(run_dir):
             config = json.load(fh)
         except ValueError:  # not JSON, or not UTF-8
             config = None
-    k_values = config.get("k_values") if isinstance(config, dict) else None
+    if not isinstance(config, dict):
+        raise RecbenchError(f"{config_path}: not a JSON object")
+    k_values = config.get("k_values")
     if not isinstance(k_values, list) or not k_values or not all(
         isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_values
     ):
         raise RecbenchError(f"{config_path}: no valid k_values, so the lists' cutoff is unknown")
     target_k = max(k_values)
-    lists_path = run / "lists.csv"
+    algorithms = config.get("algorithms")
+    if not isinstance(algorithms, dict) or not algorithms or not set(algorithms) <= set(ALGORITHMS):
+        raise RecbenchError(f"{config_path}: algorithms must name known algorithms, got {algorithms!r}")
+    selections = config.get("attribute_selections")
+    if not isinstance(selections, list) or not selections or not all(
+        sel == "all" or isinstance(sel, list) and sel and all(isinstance(a, str) and a for a in sel)
+        for sel in selections
+    ):
+        raise RecbenchError(f"{config_path}: malformed attribute_selections {selections!r}")
+    sets: dict[str, set[str]] = {}
+    for _, row in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
+        sets.setdefault(row["user_id"], set()).add(row["item_id"])
+    if not sets:
+        raise RecbenchError(f"{run / 'hidden.csv'}: no hidden items, so the run has no test users")
+    hidden = {u: frozenset(s) for u, s in sets.items()}
+    labels = [selection_label(sel) for sel in selections]
     # (rank, item, score, line) per (algorithm, selection) and user
-    rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {}
+    rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {
+        (name, label if ALGORITHMS[name].needs_content else NO_SELECTION_LABEL): {u: [] for u in hidden}
+        for name in algorithms for label in labels
+    }
+    lists_path = run / "lists.csv"
     columns = ("algorithm", "attribute_selection", "user_id", "rank", "item_id", "score")
     for line, row in _csv_rows(lists_path, columns):
         try:
@@ -583,14 +600,14 @@ def read_run_lists(run_dir):
                 f"{lists_path}:{line}: rank {row['rank']!r} is not an integer "
                 f"or score {row['score']!r} is not a number"
             ) from None
-        key = (row["algorithm"], row["attribute_selection"])
-        rows_by_key.setdefault(key, {}).setdefault(row["user_id"], []).append(
-            (rank, row["item_id"], score, line)
-        )
-    sets: dict[str, set[str]] = {}
-    for _, row in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
-        sets.setdefault(row["user_id"], set()).add(row["item_id"])
-    hidden = {u: frozenset(s) for u, s in sets.items()}
+        try:
+            rows = rows_by_key[row["algorithm"], row["attribute_selection"]][row["user_id"]]
+        except KeyError:
+            raise RecbenchError(
+                f"{lists_path}:{line}: no {row['algorithm']}/{row['attribute_selection']} list "
+                f"of user {row['user_id']!r} in the run's config.json and hidden.csv"
+            ) from None
+        rows.append((rank, row["item_id"], score, line))
     lists: dict[tuple[str, str], dict[str, RecommendationList]] = {}
     for key, per_user in rows_by_key.items():
         lists[key] = {}
@@ -606,11 +623,6 @@ def read_run_lists(run_dir):
                 raise RecbenchError(
                     f"{lists_path}:{first}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
                 ) from None
-        for user_id in hidden:
-            if user_id not in lists[key]:
-                lists[key][user_id] = RecommendationList(
-                    user_id=user_id, entries=(), target_k=target_k
-                )
     return lists, hidden
 
 

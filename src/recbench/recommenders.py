@@ -12,8 +12,9 @@ omit zero-score candidates (a list may therefore be shorter than requested).
 
 import heapq
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .corpus import InteractionDataset
 from .errors import ColdStartError
@@ -27,7 +28,8 @@ SIMILARITY_METRICS = ("cosine", "pearson")
 
 @dataclass(frozen=True)
 class UserProfile:
-    """A user's training-time items and their ratings."""
+    """A user's training-time items and their ratings, kept by ascending item
+    id so that every sum over the profile runs in one fixed order."""
 
     user_id: str
     items: Mapping[str, float]
@@ -37,7 +39,7 @@ class UserProfile:
             raise ValueError("user_id must be a non-empty string")
         if not self.items:
             raise ValueError("profile must contain at least one item")
-        object.__setattr__(self, "items", dict(self.items))
+        object.__setattr__(self, "items", dict(sorted(self.items.items())))
 
     @classmethod
     def from_training(cls, train: InteractionDataset, user_id: str) -> "UserProfile":
@@ -82,11 +84,18 @@ class RecommendationList:
         return tuple(item_id for item_id, _ in rows)
 
 
-def _top(scores: Mapping[str, float], k: int) -> list[tuple[str, float]]:
+def _top(scores: Mapping[str | int, float], k: int) -> list[tuple[str | int, float]]:
     """The ``k`` best positive ``(id, score)`` pairs by the exact key ``(-score, id)``
     (negation loses nothing); given a list, nsmallest sorts one no longer than ``k``."""
     best = heapq.nsmallest(k, [(-s, i) for i, s in scores.items() if s > 0.0])
     return [(i, -neg) for neg, i in best]
+
+
+def _unseen(ranking, profile: Mapping[str, float], n: int) -> Iterator[tuple[str, float]]:
+    """The first ``n`` pairs of ``ranking`` whose id is not in ``profile``. From a ranking
+    ``n + len(profile)`` deep, they are exactly the first ``n`` of a ranking that excluded
+    the profile before its cutoff, as no similarity depends on what is excluded."""
+    return islice((pair for pair in ranking if pair[0] not in profile), n)
 
 
 class CFModel:
@@ -220,25 +229,22 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
     the highest-weight terms (up to the model's budget, ties broken by
     ascending term string) form a query vector that keeps those aggregated
     weights. Indexed items outside the profile are ranked by cosine
-    similarity to the query. A profile with no content at all yields an
-    empty list.
+    similarity to the query (``_unseen`` cuts a ranking ``k + len(profile)``
+    deep). A profile with no content at all yields an empty list.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    profile_ids = sorted(user.items)
     aggregated: dict[int, float] = {}
-    for item_id in profile_ids:
+    for item_id in user.items:
         if item_id not in model.index:
             continue
-        vec = model.index.vector(item_id)
-        for t in sorted(vec.entries):
-            aggregated[t] = aggregated.get(t, 0.0) + vec.entries[t]
+        for t, w in model.index.vector(item_id).entries.items():
+            aggregated[t] = aggregated.get(t, 0.0) + w
     if not aggregated:
         return RecommendationList(user_id=user.user_id, entries=(), target_k=k)
-    terms = model.index.vocabulary.terms
-    ranked = sorted(aggregated.items(), key=lambda kv: (-kv[1], terms[kv[0]]))
-    query = SparseVector(dict(ranked[: model.profile_term_budget]))
-    entries = top_k_similar(model.index, query, k, exclude=set(profile_ids))
+    # term index order is term order, so ties keep the ascending term
+    query = SparseVector(dict(_top(aggregated, model.profile_term_budget)))
+    entries = _unseen(top_k_similar(model.index, query, k + len(user.items)), user.items, k)
     return RecommendationList(user_id=user.user_id, entries=tuple(entries), target_k=k)
 
 
@@ -294,35 +300,22 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
 
     Every content-bearing profile item nominates its ``votes_per_item`` most
     similar non-profile items (profile items are excluded before the cutoff
-    is applied), contributing its cosine similarity as vote weight.
-    Candidates are ranked by total accumulated weight. Voters are processed
-    in ascending item-id order, so the result never depends on how the
-    profile mapping happens to be ordered.
-
-    Nominations come from the model's neighbour table at depth
-    ``votes_per_item + len(profile)``: at most ``len(profile)`` of those
-    rows are profile items, so filtering them out and cutting at
-    ``votes_per_item`` leaves the same pairs, in the same order, as
-    excluding the profile before ranking. A similarity does not depend on
-    what is excluded, so the vote sums are identical to the last bit.
+    is applied, by ``_unseen`` on the model's neighbour table at depth
+    ``votes_per_item + len(profile)``), contributing its cosine similarity
+    as vote weight. Candidates are ranked by total accumulated weight.
+    Voters are processed in ascending item-id order, so the result never
+    depends on how the profile mapping happens to be ordered.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    profile_ids = sorted(user.items)
-    exclude = set(profile_ids)
-    depth = model.votes_per_item + len(profile_ids)
+    depth = model.votes_per_item + len(user.items)
     votes: dict[str, float] = {}
-    for item_id in profile_ids:
+    for item_id in user.items:
         if item_id not in model.index or not model.index.vector(item_id):
             continue
-        nominated = 0
-        for candidate, sim in model.neighbors(item_id, depth):
-            if candidate in exclude:
-                continue
+        ranking = model.neighbors(item_id, depth)
+        for candidate, sim in _unseen(ranking, user.items, model.votes_per_item):
             votes[candidate] = votes.get(candidate, 0.0) + sim
-            nominated += 1
-            if nominated == model.votes_per_item:
-                break
     return RecommendationList(user_id=user.user_id, entries=tuple(_top(votes, k)), target_k=k)
 
 

@@ -66,6 +66,8 @@ class Vocabulary:
     def __post_init__(self):
         if self.n_docs < 1:
             raise ValueError("n_docs must be >= 1")
+        if any(a >= b for a, b in zip(self.terms, self.terms[1:])):
+            raise ValueError("terms must be strictly ascending")
         for t in self.terms:
             if t not in self.df:
                 raise ValueError(f"term {t!r} has no document frequency")
@@ -227,19 +229,13 @@ def build_index(
     return DocumentIndex(vocab, vectors, selection)
 
 
-def top_k_similar(
-    index: DocumentIndex,
-    query: SparseVector,
-    k: int,
-    exclude: AbstractSet[str] = frozenset(),
-) -> list[tuple[str, float]]:
+def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
     """Rank indexed items by cosine similarity to ``query``.
 
     Returns at most ``k`` ``(item_id, score)`` pairs with strictly positive
     scores, ordered by descending score with ties broken by ascending item
-    id; ids in ``exclude`` are never returned. Each item's dot product is
-    summed in ascending term order whatever ``exclude`` holds, so an item's
-    score never depends on which other items are excluded.
+    id. Each item's dot product is summed in ascending term order, so an
+    item's score depends only on its vector and the query.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -262,7 +258,7 @@ def top_k_similar(
         (
             (-(d / (qnorm * norms[item_id])), item_id)
             for item_id, d in dots.items()
-            if d > 0.0 and item_id not in exclude
+            if d > 0.0
         ),
     )
     return [(item_id, -neg) for neg, item_id in best]

@@ -226,6 +226,93 @@ class TestCompare:
         assert f"{broken / location}" in proc.stderr
         assert fragment in proc.stderr
 
+    def test_no_matching_list_set_reports_zero(self, finished_run):
+        proc = run_cli(
+            "compare", "--run-a", str(finished_run), "--algorithm-a", "upa",
+            "--run-b", str(finished_run), "--algorithm-b", "cf", "--k", "10",
+        )
+        assert proc.returncode == 1
+        assert "holds 0 matching list sets (cf/-, sup/all)" in proc.stderr
+
+    def test_all_empty_list_set_is_compared(self, tmp_path, capsys):
+        """Disjoint profiles give cf no neighbour, so no cf list has a row in
+        lists.csv; the set still exists, as the run's config.json says."""
+        users = [f"u{n}" for n in range(10)]
+        with open(tmp_path / "ratings.tsv", "w", encoding="utf-8") as fh:
+            for u in users:
+                fh.writelines(f"{u}\t{u}i{j:02d}\t1\n" for j in range(25))
+        with open(tmp_path / "content.jsonl", "w", encoding="utf-8") as fh:
+            for u in users:
+                fh.writelines(
+                    json.dumps({"item_id": f"{u}i{j:02d}", "attributes": {"text": f"tag{u}"}}) + "\n"
+                    for j in range(25)
+                )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "interactions_path": str(tmp_path / "ratings.tsv"),
+            "content_path": str(tmp_path / "content.jsonl"),
+            "algorithms": {"cf": {}, "sup": {}},
+            "k_values": [5],
+            "fold_count": 2,
+        }))
+        run = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config), "--out", str(run)]) == 0
+        assert "cf," not in (run / "lists.csv").read_text()
+        capsys.readouterr()
+        assert cli.main([
+            "compare", "--run-a", str(run), "--algorithm-a", "cf",
+            "--run-b", str(run), "--algorithm-b", "sup", "--k", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "users_compared: 10\njaccard@5: 0.0\nexclusive_a: 0\nexclusive_b: 50\n" in out
+
+    @pytest.mark.parametrize(
+        "case, location, fragment",
+        [
+            pytest.param(case, location, fragment, id=case)
+            for case, location, fragment in (
+                ("user-without-hidden-set", "lists.csv:2:", "in the run's config.json and hidden.csv"),
+                ("no-hidden-rows", "hidden.csv:", "the run has no test users"),
+                ("unconfigured-list-set", "lists.csv:2:", "no upa/all list of user"),
+                ("malformed-algorithms", "config.json:", "algorithms must name known algorithms"),
+                ("malformed-selections", "config.json:", "malformed attribute_selections"),
+            )
+        ],
+    )
+    def test_run_structure_defects_are_exit_1(self, finished_run, tmp_path, case, location, fragment):
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        with open(broken / "lists.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, first = rows[:2]
+        config = json.loads((broken / "config.json").read_text())
+        if case in ("user-without-hidden-set", "no-hidden-rows"):
+            with open(broken / "hidden.csv", encoding="utf-8", newline="") as fh:
+                hidden_rows = list(csv.reader(fh))
+            if case == "no-hidden-rows":
+                kept = hidden_rows[:1]
+            else:
+                user = first[header.index("user_id")]
+                kept = [row for row in hidden_rows if row[1] != user]
+            with open(broken / "hidden.csv", "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(kept)
+        elif case == "unconfigured-list-set":
+            first[:2] = ["upa", "all"]
+        elif case == "malformed-algorithms":
+            config["algorithms"] = ["cf", "sup"]
+        else:
+            config["attribute_selections"] = [7]
+        with open(broken / "lists.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        (broken / "config.json").write_text(json.dumps(config))
+        proc = run_cli(
+            "compare", "--run-a", str(broken), "--algorithm-a", "cf",
+            "--run-b", str(broken), "--algorithm-b", "sup", "--k", "10",
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert f"{broken / location}" in proc.stderr
+        assert fragment in proc.stderr
+
     def test_one_run_named_twice_is_read_once(self, finished_run, tmp_path, monkeypatch, capsys):
         reads = []
         read_run_lists = cli.read_run_lists

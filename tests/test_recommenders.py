@@ -234,6 +234,21 @@ class TestUPA:
         lst = recommend_upa(model, UserProfile("u", {"d1": None}), 5)
         assert "d1" not in lst.item_ids()
 
+    def test_profile_excluded_before_cutoff(self):
+        corpus = ContentCorpus(
+            [
+                ItemDocument("v", {"text": "aa bb"}),
+                ItemDocument("p", {"text": "aa bb"}),
+                ItemDocument("c", {"text": "aa"}),
+                ItemDocument("other", {"text": "dd"}),
+            ]
+        )
+        model = fit_upa(build_index(corpus, ("text",)))
+        # v and p outrank c; with both excluded first, c still takes the single slot
+        lst = recommend_upa(model, UserProfile("u", {"v": None, "p": None}), 1)
+        a, b = math.log(4 / 3), math.log(4 / 2)
+        assert entries_close(lst.entries, (("c", a / math.sqrt(a * a + b * b)),))
+
 
 class TestSUP:
     def test_votes_accumulate_across_voters(self, toy_index):
@@ -328,10 +343,10 @@ def _count_top_k_calls(monkeypatch, index):
     calls = {}
     original = recommenders.top_k_similar
 
-    def counting(index_arg, query, k, exclude=frozenset()):
+    def counting(index_arg, query, k):
         voter = voter_of.get(id(query))
         calls[voter] = calls.get(voter, 0) + 1
-        return original(index_arg, query, k, exclude)
+        return original(index_arg, query, k)
 
     monkeypatch.setattr(recommenders, "top_k_similar", counting)
     return calls

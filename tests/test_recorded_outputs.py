@@ -1,0 +1,55 @@
+"""Byte gate: every benchmark workload, generated at seed 0, must still produce
+the run directory and the compare output recorded in ``perfbench/recorded.json``."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from recbench import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SEED = 0
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+
+
+def tree_digest(directory):
+    """sha256 over every file's name and bytes, in name order (the scheme of
+    ``perfbench/run.py``)."""
+    h = hashlib.sha256()
+    for path in sorted(Path(directory).rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.COMPARES))
+def test_workload_matches_recording(name, tmp_path, monkeypatch, capsys):
+    with open(PERFBENCH / "recorded.json", encoding="utf-8") as fh:
+        recorded = json.load(fh)["runs"][name][str(SEED)]
+    workloads.write_workload(name, SEED, tmp_path)
+    monkeypatch.chdir(tmp_path)  # the workload's config names its inputs relative to it
+    assert cli.main(["run", "--config", workloads.CONFIG, "--out", "run"]) == 0
+    capsys.readouterr()
+    (alg_a, sel_a), (alg_b, sel_b), k = workloads.COMPARES[name]
+    argv = [
+        "compare", "--run-a", "run", "--run-b", "run", "--k", str(k),
+        "--algorithm-a", alg_a, "--selection-a", sel_a,
+        "--algorithm-b", alg_b, "--selection-b", sel_b,
+    ]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == recorded["compare_stdout"]
+    assert tree_digest(tmp_path / "run") == recorded["run_sha256"]

@@ -144,6 +144,13 @@ class TestBuildIndex:
         assert index.empty_item_ids == ("c",)
 
 
+class TestVocabulary:
+    @pytest.mark.parametrize("terms", [("bb", "aa"), ("aa", "aa"), ("aa", "cc", "bb")])
+    def test_terms_must_be_strictly_ascending(self, terms):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Vocabulary(terms=terms, df=dict.fromkeys(terms, 2), n_docs=2)
+
+
 class TestVectors:
     def test_zero_weights_dropped(self):
         v = SparseVector({0: 0.0, 1: 2.0})
@@ -212,10 +219,6 @@ class TestTopK:
 
     def test_truncates_to_k(self, index):
         assert len(top_k_similar(index, index.vector("a2"), 2)) == 2
-
-    def test_exclude_is_honored(self, index):
-        ranked = top_k_similar(index, index.vector("a2"), 4, exclude={"a10", "a2"})
-        assert {item for item, _ in ranked} <= {"b", "c"}
 
     def test_zero_query_returns_nothing(self, index):
         assert top_k_similar(index, SparseVector({}), 3) == []
