@@ -1,5 +1,6 @@
 """Interaction and content data: loading, statistics, and holdout splits."""
 
+import copy
 import json
 import math
 import random
@@ -32,12 +33,11 @@ class Interaction:
 
 
 class InteractionDataset:
-    """An immutable collection of user-item activities.
-
-    ``users`` and ``items`` keep first-appearance order and may be supersets
-    of the ids referenced by ``interactions`` (a training split keeps the
-    full catalog even when some items lose all their activities). Instances
-    are treated as read-only after construction.
+    """An immutable collection of user-item activities: one profile per user,
+    holding item id -> rating by ascending item id. ``users`` and ``items``
+    keep first-appearance order and may be supersets of the ids that have
+    activities (a training split keeps the full catalog even when some items
+    lose all their activities). Instances are read-only after construction.
     """
 
     def __init__(
@@ -46,29 +46,38 @@ class InteractionDataset:
         users: Sequence[str] | None = None,
         items: Sequence[str] | None = None,
     ):
-        self.interactions: tuple[Interaction, ...] = tuple(interactions)
-        if not self.interactions:
-            raise EmptyDatasetError("dataset must contain at least one interaction")
         profiles: dict[str, dict[str, float]] = {}
         item_users: dict[str, list[str]] = {}
-        for x in self.interactions:
+        for x in interactions:
             profile = profiles.setdefault(x.user_id, {})
             if x.item_id in profile:
                 raise ValueError(f"duplicate interaction for {(x.user_id, x.item_id)!r}")
             profile[x.item_id] = x.rating
             item_users.setdefault(x.item_id, []).append(x.user_id)
+        if not profiles:
+            raise EmptyDatasetError("dataset must contain at least one interaction")
         self.users: tuple[str, ...] = tuple(users) if users is not None else tuple(profiles)
         self.items: tuple[str, ...] = tuple(items) if items is not None else tuple(item_users)
         self._user_set = frozenset(self.users)
-        self._item_set = frozenset(self.items)
         missing_users = set(profiles) - self._user_set
         if missing_users:
             raise ValueError(f"interactions reference users outside the user set: {sorted(missing_users)[:5]}")
-        missing_items = set(item_users) - self._item_set
+        missing_items = set(item_users).difference(self.items)
         if missing_items:
             raise ValueError(f"interactions reference items outside the item set: {sorted(missing_items)[:5]}")
-        self._profiles = profiles
+        self._profiles = {u: dict(sorted(p.items())) for u, p in profiles.items()}
         self._item_users = {i: tuple(us) for i, us in item_users.items()}
+
+    def _without(self, hidden: Mapping[str, frozenset[str]]) -> "InteractionDataset":
+        """A shallow copy without each ``hidden`` user's items; untouched rows are shared."""
+        out = copy.copy(self)
+        out._profiles = dict(self._profiles)
+        out._item_users = dict(self._item_users)
+        for user, items in hidden.items():
+            out._profiles[user] = {i: r for i, r in self._profiles[user].items() if i not in items}
+            for i in items:
+                out._item_users[i] = tuple(u for u in out._item_users[i] if u != user)
+        return out
 
     @property
     def n_users(self) -> int:
@@ -80,7 +89,7 @@ class InteractionDataset:
 
     @property
     def n_activities(self) -> int:
-        return len(self.interactions)
+        return sum(map(len, self._profiles.values()))
 
     @property
     def profiles(self) -> Mapping[str, Mapping[str, float]]:
@@ -398,10 +407,7 @@ def materialize_split(ds: InteractionDataset, plan: SplitPlan, fold: int) -> Hol
         raise ValueError(f"fold must be in [0, {plan.fold_count}), got {fold}")
     hidden: dict[str, frozenset[str]] = {}
     for user in plan.users_in_fold(fold):
-        candidates = sorted(ds.profile(user))
         # string seeds hash the text itself, immune to per-process hash randomization
         rng = random.Random(f"{plan.rng_seed}:{fold}:{user}")
-        hidden[user] = frozenset(rng.sample(candidates, plan.given_n))
-    train_rows = tuple(x for x in ds.interactions if x.item_id not in hidden.get(x.user_id, ()))
-    train = InteractionDataset(train_rows, users=ds.users, items=ds.items)
-    return HoldoutSplit(train=train, hidden=hidden)
+        hidden[user] = frozenset(rng.sample(list(ds.profile(user)), plan.given_n))
+    return HoldoutSplit(train=ds._without(hidden), hidden=hidden)

@@ -75,8 +75,8 @@ class ExperimentConfig:
 
         if not self.interactions_path:
             problems.append("interactions_path is required")
-        elif not Path(self.interactions_path).is_file():
-            problems.append(f"interactions_path does not exist: {self.interactions_path!r}")
+        elif not isinstance(self.interactions_path, str) or not Path(self.interactions_path).is_file():
+            problems.append(f"interactions_path must name an existing file, got {self.interactions_path!r}")
         if self.interactions_format not in INTERACTION_FORMATS:
             problems.append(
                 f"interactions_format must be one of {list(INTERACTION_FORMATS)}, "
@@ -109,28 +109,28 @@ class ExperimentConfig:
         if content_needed:
             if not self.content_path:
                 problems.append("content_path is required when a content-based algorithm is configured")
-            elif not Path(self.content_path).is_file():
-                problems.append(f"content_path does not exist: {self.content_path!r}")
-            if not self.attribute_selections:
-                problems.append("attribute_selections must not be empty")
-        if self.stopwords_path is not None and not Path(self.stopwords_path).is_file():
-            problems.append(f"stopwords_path does not exist: {self.stopwords_path!r}")
+            elif not isinstance(self.content_path, str) or not Path(self.content_path).is_file():
+                problems.append(f"content_path must name an existing file, got {self.content_path!r}")
+        stopwords = self.stopwords_path
+        if stopwords is not None and not (isinstance(stopwords, str) and Path(stopwords).is_file()):
+            problems.append(f"stopwords_path must name an existing file, got {stopwords!r}")
 
+        selections = self.attribute_selections
+        if not isinstance(selections, (list, tuple)) or content_needed and not selections:
+            problems.append(f"attribute_selections must be a non-empty list, got {selections!r}")
+            selections = ()
         # results are keyed by selection label, so two selections sharing one
         # would overwrite each other's index and double-count their records
         label_positions: dict[str, list[int]] = {}
-        for position, sel in enumerate(self.attribute_selections):
+        for position, sel in enumerate(selections):
             if sel == "all":
                 label_positions.setdefault("all", []).append(position)
-                continue
-            if isinstance(sel, str):
-                problems.append(
-                    f"attribute selection must be \"all\" or a list of attribute names, got {sel!r}"
-                )
-            elif not isinstance(sel, Sequence) or not sel or not all(
+            elif isinstance(sel, str) or not isinstance(sel, Sequence) or not sel or not all(
                 isinstance(a, str) and a for a in sel
             ):
-                problems.append(f"attribute selection must be a non-empty list of names, got {sel!r}")
+                problems.append(
+                    f"attribute selection must be \"all\" or a non-empty list of names, got {sel!r}"
+                )
             elif len(set(sel)) != len(sel):
                 problems.append(f"attribute selection has duplicate names: {list(sel)!r}")
             else:
@@ -141,8 +141,8 @@ class ExperimentConfig:
                     f"attribute_selections entries {positions} share the report label {label!r}"
                 )
 
-        if not self.k_values:
-            problems.append("k_values must not be empty")
+        if not isinstance(self.k_values, (list, tuple)) or not self.k_values:
+            problems.append(f"k_values must be a non-empty list, got {self.k_values!r}")
         else:
             bad = [k for k in self.k_values if not isinstance(k, int) or isinstance(k, bool) or k < 1]
             if bad:
@@ -443,9 +443,12 @@ def summarize(records) -> list[tuple[str, str, int, str, float, float]]:
         groups.setdefault((r.algorithm, r.attribute_selection, r.k, r.metric), []).append(r.value)
     out = []
     for (algorithm, label, k, metric), values in sorted(groups.items()):
-        mean = sum(values) / len(values)
+        # left to right: sum() compensates its rounding on Python >= 3.12
+        total = 0.0
+        for value in values:
+            total += value
         std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        out.append((algorithm, label, k, metric, mean, std))
+        out.append((algorithm, label, k, metric, total / len(values), std))
     return out
 
 

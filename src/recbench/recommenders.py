@@ -101,9 +101,10 @@ def _unseen(ranking, profile: Mapping[str, float], n: int) -> Iterator[tuple[str
 class CFModel:
     """User-based nearest-neighbour model over the training matrix.
 
-    It reads the training set's ratings in place; an unrated interaction was
-    loaded as 1.0, so purely implicit data yields a binary matrix. Instances
-    are immutable after fitting and safe for concurrent queries.
+    It reads the training set's profiles in place and sums over each in its
+    ascending item order; an unrated interaction was loaded as 1.0, so purely
+    implicit data yields a binary matrix. Instances are immutable after
+    fitting and safe for concurrent queries.
     """
 
     def __init__(self, train: InteractionDataset, neighborhood_size: int, similarity_metric: str):
@@ -117,8 +118,8 @@ class CFModel:
         self._norms: dict[str, float] = {}
         for u, prof in self._profiles.items():
             s = 0.0
-            for i in sorted(prof):
-                s += prof[i] * prof[i]
+            for r in prof.values():
+                s += r * r
             self._norms[u] = math.sqrt(s)
         self._users_of_item = train.users_of_item
 
@@ -131,7 +132,7 @@ class CFModel:
     def similarity(self, user_a: str, user_b: str) -> float:
         """Similarity between two known users under the configured metric."""
         pa, pb = self._profiles[user_a], self._profiles[user_b]
-        common = sorted(pa.keys() & pb.keys())
+        common = [i for i in pa if i in pb]
         if self.similarity_metric == "cosine":
             dot = 0.0
             for i in common:
@@ -145,8 +146,11 @@ class CFModel:
     def _pearson(pa: Mapping[str, float], pb: Mapping[str, float], common: list[str]) -> float:
         if len(common) < 2:
             return 0.0
-        mean_a = sum(pa[i] for i in common) / len(common)
-        mean_b = sum(pb[i] for i in common) / len(common)
+        sum_a = sum_b = 0.0
+        for i in common:
+            sum_a += pa[i]
+            sum_b += pb[i]
+        mean_a, mean_b = sum_a / len(common), sum_b / len(common)
         cov = var_a = var_b = 0.0
         for i in common:
             da = pa[i] - mean_a
@@ -194,15 +198,12 @@ def recommend_cf(model: CFModel, user: UserProfile, k: int) -> RecommendationLis
         raise ValueError("k must be >= 1")
     if user.user_id not in model:
         raise ColdStartError(f"user {user.user_id!r} is not in the training matrix")
-    own = set(user.items)
     scores: dict[str, float] = {}
     # ascending neighbour id keeps the float sums reproducible
     for v, sim in sorted(model.neighbors(user.user_id)):
-        ratings = model.ratings_of(v)
-        for i in sorted(ratings):
-            if i in own:
-                continue
-            scores[i] = scores.get(i, 0.0) + sim * ratings[i]
+        for i, r in model.ratings_of(v).items():
+            if i not in user.items:
+                scores[i] = scores.get(i, 0.0) + sim * r
     return RecommendationList(user_id=user.user_id, entries=tuple(_top(scores, k)), target_k=k)
 
 

@@ -123,6 +123,29 @@ class TestRun:
         proc = run_cli("run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("attribute_selections", None, "attribute_selections must be a non-empty list, got None"),
+            ("attribute_selections", "all", "attribute_selections must be a non-empty list, got 'all'"),
+            ("k_values", 5, "k_values must be a non-empty list, got 5"),
+            ("interactions_path", 5, "interactions_path must name an existing file, got 5"),
+            ("content_path", ["c.jsonl"], "content_path must name an existing file, got ['c.jsonl']"),
+            ("stopwords_path", 5, "stopwords_path must name an existing file, got 5"),
+        ],
+        ids=["null-selections", "string-selections", "int-k-values", "int-interactions-path",
+             "list-content-path", "int-stopwords-path"],
+    )
+    def test_field_of_the_wrong_json_type_is_exit_1(self, workspace, tmp_path, field, value, problem):
+        """Each is one listed problem, not a crash inside validation (exit 2)
+        and not one message per character of a string."""
+        _, _, config_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(config_path.read_text()), field: value}))
+        proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {problem}\n"
+
 
 @pytest.fixture(scope="module")
 def finished_run(workspace):

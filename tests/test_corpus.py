@@ -372,6 +372,42 @@ class TestSplits:
             assert split.train.users == ds.users
             assert split.train.items == ds.items
 
+    def test_profiles_iterate_in_ascending_item_id(self):
+        ds = _protocol_ds()  # each profile's rows are in random item order
+        plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
+        for data in (ds, *(materialize_split(ds, plan, fold).train for fold in range(3))):
+            for user in data.users:
+                assert list(data.profile(user)) == sorted(data.profile(user))
+
+    def test_split_inverse_rows_match_training_profiles(self):
+        ds = _protocol_ds()
+        plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
+        for fold in range(3):
+            train = materialize_split(ds, plan, fold).train
+            for item in ds.items:
+                holders = [u for u in train.users if item in train.profile(u)]
+                assert sorted(train.users_of_item(item)) == sorted(holders)
+
+    def test_split_drops_exactly_the_hidden_activities(self):
+        ds = _protocol_ds()
+        plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
+        for fold in range(3):
+            train = materialize_split(ds, plan, fold).train
+            assert train.n_activities == ds.n_activities - len(plan.users_in_fold(fold)) * plan.given_n
+
+    def test_splits_leave_the_dataset_as_loaded(self):
+        """A training set shares the rows it does not change with ``ds``, so
+        a split that edited a shared row in place would show here."""
+        ds, fresh = _protocol_ds(), _protocol_ds()
+        plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
+        for fold in range(3):
+            materialize_split(ds, plan, fold)
+            assert {u: list(p.items()) for u, p in ds.profiles.items()} == {
+                u: list(p.items()) for u, p in fresh.profiles.items()
+            }
+            assert [ds.users_of_item(i) for i in ds.items] == [fresh.users_of_item(i) for i in fresh.items]
+            assert ds.n_activities == fresh.n_activities
+
     def test_materialize_is_repeatable(self):
         ds = _protocol_ds()
         plan = plan_splits(ds, fold_count=3, rng_seed=2)

@@ -268,6 +268,12 @@ class TestEmitters:
         assert math.isclose(mean, 0.3, rel_tol=1e-12)
         assert math.isclose(std, 0.1, rel_tol=1e-12)
 
+    def test_summarize_mean_sums_fold_values_in_order(self):
+        """Left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum
+        (``sum()`` from Python 3.12) would give a mean of 1/3 instead."""
+        records = [ReportRecord("cf", "-", f, 10, "map", v) for f, v in enumerate([1e16, 1.0, -1e16])]
+        assert summarize(records)[0][4] == 0.0
+
     def test_plot_data_blocks(self, records, tmp_path):
         inter = [
             IntersectionRecord("cf", "sup", "all", 10, 3, 4, 5),

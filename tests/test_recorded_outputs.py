@@ -12,6 +12,9 @@ from recbench import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 0
+# No benchmark workload runs cf under the pearson metric, so this pins the bytes
+# of dense-content (seed 0) with cf added as {"similarity_metric": "pearson"}.
+PEARSON_RUN_SHA256 = "3600252c4f36fdec8a22f1fa32e28c53fb871bf50137537b6a87b5f4835431e8"
 
 
 def _workloads():
@@ -53,3 +56,14 @@ def test_workload_matches_recording(name, tmp_path, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == recorded["compare_stdout"]
     assert tree_digest(tmp_path / "run") == recorded["run_sha256"]
+
+
+def test_pearson_run_matches_recording(tmp_path, monkeypatch):
+    workloads.write_workload("dense-content", SEED, tmp_path)
+    config_path = tmp_path / workloads.CONFIG
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["algorithms"]["cf"] = {**workloads.CF_PARAMS, "similarity_metric": "pearson"}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", workloads.CONFIG, "--out", "run"]) == 0
+    assert tree_digest(tmp_path / "run") == PEARSON_RUN_SHA256
