@@ -556,6 +556,7 @@ def read_run_lists(run_dir):
     holds a list for every user of ``hidden.csv``: an empty list has no rows
     in ``lists.csv``, so even a set whose lists are all empty is restored.
     Every list's ``target_k`` is the run's largest k: the lists were cut there.
+    A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
     """
     run = Path(run_dir)
     config_path = run / "config.json"
@@ -616,6 +617,12 @@ def read_run_lists(run_dir):
         lists[key] = {}
         for user_id, rows in per_user.items():
             rows.sort()
+            for expected, (rank, _, _, line) in enumerate(rows, start=1):
+                if rank != expected:
+                    raise RecbenchError(
+                        f"{lists_path}:{line}: the {'/'.join(key)} list of user {user_id!r} "
+                        f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
+                    )
             entries = tuple((item_id, score) for _, item_id, score, _ in rows)
             try:
                 lists[key][user_id] = RecommendationList(

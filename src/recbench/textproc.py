@@ -8,10 +8,11 @@ computes them.
 import heapq
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import accumulate
 
 from .corpus import ContentCorpus
 from .errors import ConfigurationError, decode_error
@@ -82,15 +83,17 @@ class Vocabulary:
 
 @dataclass
 class SparseVector:
-    """Non-zero, non-negative weights keyed by vocabulary term index."""
+    """Non-zero, finite, non-negative weights keyed by vocabulary term index,
+    held in ascending term-index order whatever order they were given in."""
 
     entries: dict[int, float]
 
     def __post_init__(self):
         clean: dict[int, float] = {}
-        for i, w in self.entries.items():
-            if w < 0:
-                raise ValueError(f"weight for term index {i} is negative")
+        for i in sorted(self.entries):
+            w = self.entries[i]
+            if not 0.0 <= w < math.inf:  # also false for NaN
+                raise ValueError(f"weight for term index {i} is negative or not finite: {w!r}")
             if w != 0.0:
                 clean[i] = w
         self.entries = clean
@@ -103,8 +106,7 @@ class SparseVector:
 
     def norm(self) -> float:
         s = 0.0
-        for i in sorted(self.entries):
-            w = self.entries[i]
+        for w in self.entries.values():
             s += w * w
         return math.sqrt(s)
 
@@ -134,11 +136,18 @@ class DocumentIndex:
                 if not 0 <= t < n_terms:
                     raise ValueError(f"vector for {item_id!r} uses term index {t} outside the vocabulary")
         self._norms = {item_id: vec.norm() for item_id, vec in self.vectors.items()}
-        postings: dict[int, list[tuple[str, float]]] = {}
+        # per term, two parallel tuples in index order: the items carrying it
+        # and their weights over the item's norm, whose largest is the
+        # term's bound
+        columns: dict[int, tuple[list[str], list[float]]] = defaultdict(lambda: ([], []))
         for item_id, vec in self.vectors.items():
+            norm = self._norms[item_id]
             for t, w in vec.entries.items():
-                postings.setdefault(t, []).append((item_id, w))
-        self._postings = {t: tuple(rows) for t, rows in postings.items()}
+                ids, scaled = columns[t]
+                ids.append(item_id)
+                scaled.append(w / norm)
+        self._postings = {t: (tuple(ids), tuple(scaled)) for t, (ids, scaled) in columns.items()}
+        self._bounds = {t: max(scaled) for t, (_, scaled) in self._postings.items()}
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -153,7 +162,9 @@ class DocumentIndex:
         return self._norms[item_id]
 
     def postings(self, term_index: int) -> tuple[tuple[str, float], ...]:
-        return self._postings.get(term_index, ())
+        """``(item_id, weight)`` for each item carrying the term, in index order."""
+        ids = self._postings.get(term_index, ((), ()))[0]
+        return tuple((item_id, self.vectors[item_id].entries[term_index]) for item_id in ids)
 
     @property
     def empty_item_ids(self) -> tuple[str, ...]:
@@ -229,6 +240,11 @@ def build_index(
     return DocumentIndex(vocab, vectors, selection)
 
 
+# relative allowance for rounding in the pruning bounds and partial sums,
+# whose own float error is ~1e-16 per term added
+_SLACK = 1e-9
+
+
 def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
     """Rank indexed items by cosine similarity to ``query``.
 
@@ -236,29 +252,57 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     scores, ordered by descending score with ties broken by ascending item
     id. Each item's dot product is summed in ascending term order, so an
     item's score depends only on its vector and the query.
+
+    Postings are read as in MaxScore (Turtle & Flood 1995): query terms in
+    descending order of their bound, adding up each reached item's partial
+    score (times the query norm), a lower bound. Once k partial scores beat
+    the bound sum of the unread terms, no unreached item can enter the top k
+    and reading stops. The reached items whose partial score plus that sum
+    still reaches the k-th partial score are rescored exactly from their own
+    vectors; both comparisons allow a relative slack for rounding, so only
+    items that cannot reach the k-th score are skipped.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     qnorm = query.norm()
     if qnorm == 0.0:
         return []
-    postings = index._postings
-    norms = index._norms
     entries = query.entries
-    dots: dict[str, float] = {}
-    get = dots.get
-    for t in sorted(entries):
+    postings = index._postings
+    bounds = index._bounds
+    walk = sorted(((qw * bounds[t], t) for t, qw in entries.items() if t in bounds), reverse=True)
+    # rests[j]: the most the terms walk[j:] can add to any item's score
+    rests = [*accumulate((bound for bound, _ in reversed(walk)), initial=0.0)][::-1]
+    acc: dict[str, float] = {}
+    get = acc.get
+    rest = 0.0
+    for j, (_, t) in enumerate(walk, start=1):
         qw = entries[t]
-        for item_id, w in postings.get(t, ()):
-            dots[item_id] = get(item_id, 0.0) + qw * w
-    # negating a float is exact, so (-score, id) orders exactly as the
-    # documented (descending score, ascending id)
-    best = heapq.nsmallest(
-        k,
-        (
-            (-(d / (qnorm * norms[item_id])), item_id)
-            for item_id, d in dots.items()
-            if d > 0.0
-        ),
-    )
-    return [(item_id, -neg) for neg, item_id in best]
+        ids, scaled = postings[t]
+        for item_id, sw in zip(ids, scaled):
+            acc[item_id] = get(item_id, 0.0) + qw * sw
+        rest = rests[j]
+        bar = rest * (1.0 + _SLACK)
+        if len(acc) >= k and sum(map(bar.__lt__, acc.values())) >= k:
+            break
+    cut = 0.0
+    if len(acc) > k:
+        kth = heapq.nlargest(k, acc.values())[-1]
+        cut = kth * (1.0 - _SLACK) / (1.0 + _SLACK) - rest
+    norms = index._norms
+    vectors = index.vectors
+    qget = entries.get
+    scored = []
+    for item_id, partial in acc.items():
+        if partial < cut:
+            continue
+        d = 0.0
+        for t, w in vectors[item_id].entries.items():
+            qw = qget(t)
+            if qw is not None:
+                d += qw * w
+        if d > 0.0:
+            # negating a float is exact, so (-score, id) orders exactly as
+            # the documented (descending score, ascending id)
+            scored.append((-(d / (qnorm * norms[item_id])), item_id))
+    return [(item_id, -neg) for neg, item_id in heapq.nsmallest(k, scored)]

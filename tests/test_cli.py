@@ -249,6 +249,40 @@ class TestCompare:
         assert f"{broken / location}" in proc.stderr
         assert fragment in proc.stderr
 
+    @pytest.mark.parametrize(
+        "case, location",
+        [("rank-2-removed", "lists.csv:3:"), ("rank-1-removed", "lists.csv:2:"), ("rank-repeated", "lists.csv:")],
+    )
+    def test_ranks_not_running_1_to_n_are_exit_1(self, finished_run, tmp_path, case, location):
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        with open(broken / "lists.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, first, second, third = rows[:4]
+        rank = header.index("rank")
+        algorithm, selection, user = (
+            first[header.index(c)] for c in ("algorithm", "attribute_selection", "user_id")
+        )
+        assert first[:rank] == second[:rank] == third[:rank], "the first three rows should hold one list"
+        assert [first[rank], second[rank], third[rank]] == ["1", "2", "3"]
+        if case == "rank-2-removed":
+            del rows[2]
+        elif case == "rank-1-removed":
+            del rows[1]
+        else:
+            second[rank] = "1"
+        with open(broken / "lists.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        proc = run_cli(
+            "compare", "--run-a", str(broken), "--algorithm-a", "cf",
+            "--run-b", str(broken), "--algorithm-b", "sup", "--k", "10",
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert f"{broken / location}" in proc.stderr
+        assert f"the {algorithm}/{selection} list of user {user!r}" in proc.stderr
+        assert "ranks must run 1..n" in proc.stderr
+        assert proc.stdout == ""
+
     def test_no_matching_list_set_reports_zero(self, finished_run):
         proc = run_cli(
             "compare", "--run-a", str(finished_run), "--algorithm-a", "upa",

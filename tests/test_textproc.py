@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recbench import (
     ConfigurationError,
@@ -16,6 +18,9 @@ from recbench import (
     tokenize,
     top_k_similar,
 )
+
+from conftest import as_term_dicts
+from oracles import oracle_top_k
 
 
 class TestTokenize:
@@ -132,6 +137,16 @@ class TestBuildIndex:
         with pytest.raises(ConfigurationError, match="vocabulary"):
             build_index(corpus, ("text",))
 
+    def test_postings_are_item_and_raw_weight_pairs_in_index_order(self, toy_corpus):
+        index = build_index(toy_corpus, ("text",))
+        for t in range(len(index.vocabulary)):
+            assert index.postings(t) == tuple(
+                (item_id, vec.entries[t]) for item_id, vec in index.vectors.items() if t in vec.entries
+            )
+        red = index.vocabulary.index_of("red")
+        assert index.postings(red) == (("d1", 2 * math.log(3 / 2)), ("d2", math.log(3 / 2)))
+        assert index.postings(len(index.vocabulary)) == ()
+
     def test_empty_item_ids(self):
         corpus = ContentCorpus(
             [
@@ -160,6 +175,15 @@ class TestVectors:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             SparseVector({0: -0.5})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="term index 1 is negative or not finite"):
+            SparseVector({0: 1.0, 1: weight})
+
+    def test_entries_ascend_by_term_index(self):
+        v = SparseVector({5: 1.0, 0: 2.0, 3: 0.0, 2: 4.0})
+        assert list(v.entries.items()) == [(0, 2.0), (2, 4.0), (5, 1.0)]
 
     # cosine similarity is the score top_k_similar ranks by; an item a
     # ranking omits has similarity zero to the query
@@ -239,3 +263,111 @@ class TestTopK:
     def test_k_must_be_positive(self, index):
         with pytest.raises(ValueError):
             top_k_similar(index, index.vector("b"), 0)
+
+
+def _index(vectors, n_terms=10):
+    """An index over the terms t00.. whose items carry the given weights."""
+    terms = tuple(f"t{i:02d}" for i in range(n_terms))
+    vocab = Vocabulary(terms=terms, df=dict.fromkeys(terms, 2), n_docs=2)
+    return DocumentIndex(vocab, {item: SparseVector(e) for item, e in vectors.items()}, ("text",))
+
+
+def _oracle(index, query, k):
+    return oracle_top_k(
+        as_term_dicts(index), {f"t{i:02d}": w for i, w in query.entries.items()}, k
+    )
+
+
+# a few repeated values force ties
+_WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 100.0))
+
+
+@st.composite
+def _unsorted(draw, terms):
+    pairs = draw(st.lists(st.tuples(terms, _WEIGHTS), max_size=6, unique_by=lambda p: p[0]))
+    return dict(draw(st.permutations(pairs)))
+
+
+@st.composite
+def _random_index(draw):
+    vectors = draw(st.lists(_unsorted(st.integers(0, 7)), min_size=1, max_size=12))
+    # duplicate vectors, under ids that may sort either side of the original
+    vectors += [vectors[i] for i in draw(st.lists(st.integers(0, len(vectors) - 1), max_size=4))]
+    ids = draw(st.permutations([f"i{n:02d}" for n in range(len(vectors))]))
+    return _index(dict(zip(ids, vectors)))
+
+
+@st.composite
+def _long_low_postings(draw):
+    """A short posting of items carrying term 0 alone (bound 1), then many
+    items carrying terms 1..3 beside a heavy term 9 that no query holds, so
+    their postings are long and low: the walk can stop before reading them."""
+    n_short = draw(st.integers(1, 4))
+    vectors = {f"s{n}": {0: draw(_WEIGHTS)} for n in range(n_short)}
+    for n in range(draw(st.integers(5, 30))):
+        vectors[f"l{n:02d}"] = {**draw(_unsorted(st.integers(1, 3))), 9: 1000.0}
+    return _index(vectors)
+
+
+class _ReadLog(dict):
+    """A postings table that logs the terms whose postings are read."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.read = []
+
+    def __getitem__(self, term_index):
+        self.read.append(term_index)
+        return super().__getitem__(term_index)
+
+
+def _logged(vectors):
+    index = _index(vectors)
+    index._postings = _ReadLog(index._postings)
+    return index
+
+
+class TestTopKAgainstOracle:
+    """``top_k_similar`` skips postings, so compare it, list for list, with
+    the brute-force ranking that scores every item."""
+
+    # items carry t00..t07 only; t08 and t09 have no postings and t10, t11
+    # are outside the vocabulary
+    @given(_random_index(), _unsorted(st.integers(0, 11)), st.integers(1, 20))
+    def test_random_index(self, index, query, k):
+        query = SparseVector(query)
+        assert top_k_similar(index, query, k) == _oracle(index, query, k)
+
+    @given(_long_low_postings(), _unsorted(st.integers(1, 3)), _WEIGHTS, st.integers(1, 4))
+    def test_long_low_postings(self, index, query, w0, k):
+        query = SparseVector({**query, 0: w0})
+        assert top_k_similar(index, query, k) == _oracle(index, query, k)
+
+    def test_stop_is_taken_before_a_long_low_posting(self):
+        index = _logged({"s0": {0: 1.0}, **{f"l{n:02d}": {1: 1.0, 9: 1000.0} for n in range(20)}})
+        query = SparseVector({0: 1.0, 1: 1.0})
+        assert top_k_similar(index, query, 1) == _oracle(index, query, 1)
+        assert index._postings.read == [0]
+
+    def test_tie_with_an_item_only_an_unread_term_reaches(self):
+        # after t02 and t01, b and c hold the k-th partial score, 1, which
+        # equals t00's bound; a, carrying only t00, ties with them and sorts
+        # first, so the walk must go on to t00
+        index = _logged({"a": {0: 1.0}, "b": {1: 1.0}, "c": {1: 1.0}, "z": {2: 1.0}})
+        query = SparseVector({0: 1.0, 1: 1.0, 2: 2.0})
+        got = top_k_similar(index, query, 3)
+        assert index._postings.read == [2, 1, 0]
+        assert got == _oracle(index, query, 3)
+        assert [item for item, _ in got] == ["z", "a", "b"]
+        assert got[1][1] == got[2][1]
+
+    def test_tie_with_an_item_whose_bound_rounds_below_the_kth_partial_score(self):
+        # after t01 the walk stops (t's 3.6 beats t00's bound); p's partial
+        # score plus that bound rounds to 3.5999999999999996, yet p's exact
+        # score ties t's and p sorts first
+        index = _logged({"p": {0: 420.0, 1: 77.0}, "t": {1: 1.0}})
+        query = SparseVector({0: 3.0, 1: 3.6})
+        (_, p), (_, t) = _oracle(index, query, 2)
+        assert p == t
+        assert top_k_similar(index, query, 1) == _oracle(index, query, 1) == [("p", p)]
+        assert index._postings.read == [1]
