@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import EmptyDatasetError, ParseError, ProtocolError, decode_error
@@ -35,17 +35,11 @@ class Interaction:
 class InteractionDataset:
     """An immutable collection of user-item activities: one profile per user,
     holding item id -> rating by ascending item id. ``users`` and ``items``
-    keep first-appearance order and may be supersets of the ids that have
-    activities (a training split keeps the full catalog even when some items
-    lose all their activities). Instances are read-only after construction.
+    keep first-appearance order; a training split keeps every item even when
+    it loses all its activities. Instances are read-only after construction.
     """
 
-    def __init__(
-        self,
-        interactions: Iterable[Interaction],
-        users: Sequence[str] | None = None,
-        items: Sequence[str] | None = None,
-    ):
+    def __init__(self, interactions: Iterable[Interaction]):
         profiles: dict[str, dict[str, float]] = {}
         item_users: dict[str, list[str]] = {}
         for x in interactions:
@@ -56,15 +50,8 @@ class InteractionDataset:
             item_users.setdefault(x.item_id, []).append(x.user_id)
         if not profiles:
             raise EmptyDatasetError("dataset must contain at least one interaction")
-        self.users: tuple[str, ...] = tuple(users) if users is not None else tuple(profiles)
-        self.items: tuple[str, ...] = tuple(items) if items is not None else tuple(item_users)
-        self._user_set = frozenset(self.users)
-        missing_users = set(profiles) - self._user_set
-        if missing_users:
-            raise ValueError(f"interactions reference users outside the user set: {sorted(missing_users)[:5]}")
-        missing_items = set(item_users).difference(self.items)
-        if missing_items:
-            raise ValueError(f"interactions reference items outside the item set: {sorted(missing_items)[:5]}")
+        self.users: tuple[str, ...] = tuple(profiles)
+        self.items: tuple[str, ...] = tuple(item_users)
         self._profiles = {u: dict(sorted(p.items())) for u, p in profiles.items()}
         self._item_users = {i: tuple(us) for i, us in item_users.items()}
 
@@ -97,13 +84,11 @@ class InteractionDataset:
         return self._profiles
 
     def profile(self, user_id: str) -> Mapping[str, float]:
-        """Items rated by ``user_id`` (empty for catalog-only users)."""
-        if user_id not in self._user_set:
-            raise KeyError(user_id)
-        return self._profiles.get(user_id, {})
+        """Items rated by ``user_id``; an unknown user raises ``KeyError``."""
+        return self._profiles[user_id]
 
     def has_user(self, user_id: str) -> bool:
-        return user_id in self._user_set
+        return user_id in self._profiles
 
     def users_of_item(self, item_id: str) -> tuple[str, ...]:
         return self._item_users.get(item_id, ())

@@ -22,7 +22,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, RecbenchError, decode_error
 from .metrics import EvalInput, evaluate, hit_intersection, jaccard_list_similarity
-from .recommenders import ALGORITHMS, RecommendationList, UserProfile
+from .recommenders import ALGORITHMS, RecommendationList, UserProfile, _positive_int
 from .textproc import build_index, check_selection, default_stopwords, load_stopwords
 
 log = logging.getLogger("recbench")
@@ -50,8 +50,10 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        """Load and validate a configuration file."""
+    def read_json(cls, path) -> tuple[dict, list[str]]:
+        """Read the configuration file ``path``: return its known fields and
+        one problem per unknown key. Invalid JSON or UTF-8 and a value that
+        is not an object raise a located error."""
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -62,7 +64,13 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
-        problems = [f"unknown config key {key!r}" for key in sorted(set(raw) - known)]
+        unknown = [f"unknown config key {key!r}" for key in sorted(set(raw) - known)]
+        return {key: value for key, value in raw.items() if key in known}, unknown
+
+    @classmethod
+    def from_json(cls, path) -> "ExperimentConfig":
+        """Load and validate a configuration file."""
+        raw, problems = cls.read_json(path)
         if problems:
             raise ConfigurationError(problems)
         config = cls(**raw)
@@ -71,12 +79,36 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field and raise one error listing all problems."""
+        problems = self._missing_files() + self.problems()
+        if problems:
+            raise ConfigurationError(problems)
+
+    def _missing_files(self) -> list[str]:
+        """One problem per configured path that names no existing file."""
+        paths = {
+            # an empty required path is reported by problems() as missing
+            "interactions_path": self.interactions_path or None,
+            "content_path": (self.content_path or None) if self._needs_content() else None,
+            "stopwords_path": self.stopwords_path,
+        }
+        return [
+            f"{name} must name an existing file, got {path!r}"
+            for name, path in paths.items()
+            if path is not None and not (isinstance(path, str) and Path(path).is_file())
+        ]
+
+    def _needs_content(self) -> bool:
+        return isinstance(self.algorithms, Mapping) and any(
+            spec.needs_content for name, spec in ALGORITHMS.items() if name in self.algorithms
+        )
+
+    def problems(self) -> list[str]:
+        """Every problem of the configuration except a path that names no
+        existing file, the one check that reads the filesystem."""
         problems: list[str] = []
 
         if not self.interactions_path:
             problems.append("interactions_path is required")
-        elif not isinstance(self.interactions_path, str) or not Path(self.interactions_path).is_file():
-            problems.append(f"interactions_path must name an existing file, got {self.interactions_path!r}")
         if self.interactions_format not in INTERACTION_FORMATS:
             problems.append(
                 f"interactions_format must be one of {list(INTERACTION_FORMATS)}, "
@@ -85,7 +117,6 @@ class ExperimentConfig:
 
         if not isinstance(self.algorithms, Mapping) or not self.algorithms:
             problems.append("algorithms must be a non-empty mapping of algorithm name to parameters")
-            content_needed = False
         else:
             for name in sorted(set(self.algorithms) - set(ALGORITHMS)):
                 problems.append(f"unknown algorithm {name!r} (choose from {list(ALGORITHMS)})")
@@ -102,21 +133,12 @@ class ExperimentConfig:
                     problem = check(params[p]) if p in params else None
                     if problem:
                         problems.append(f"{name}.{p} {problem}, got {params[p]!r}")
-            content_needed = any(
-                spec.needs_content for name, spec in ALGORITHMS.items() if name in self.algorithms
-            )
 
-        if content_needed:
-            if not self.content_path:
-                problems.append("content_path is required when a content-based algorithm is configured")
-            elif not isinstance(self.content_path, str) or not Path(self.content_path).is_file():
-                problems.append(f"content_path must name an existing file, got {self.content_path!r}")
-        stopwords = self.stopwords_path
-        if stopwords is not None and not (isinstance(stopwords, str) and Path(stopwords).is_file()):
-            problems.append(f"stopwords_path must name an existing file, got {stopwords!r}")
+        if self._needs_content() and not self.content_path:
+            problems.append("content_path is required when a content-based algorithm is configured")
 
         selections = self.attribute_selections
-        if not isinstance(selections, (list, tuple)) or content_needed and not selections:
+        if not isinstance(selections, (list, tuple)) or self._needs_content() and not selections:
             problems.append(f"attribute_selections must be a non-empty list, got {selections!r}")
             selections = ()
         # results are keyed by selection label, so two selections sharing one
@@ -144,7 +166,7 @@ class ExperimentConfig:
         if not isinstance(self.k_values, (list, tuple)) or not self.k_values:
             problems.append(f"k_values must be a non-empty list, got {self.k_values!r}")
         else:
-            bad = [k for k in self.k_values if not isinstance(k, int) or isinstance(k, bool) or k < 1]
+            bad = [k for k in self.k_values if _positive_int(k)]
             if bad:
                 problems.append(f"k_values must be positive integers, got {bad!r}")
             elif list(self.k_values) != sorted(set(self.k_values)):
@@ -152,13 +174,28 @@ class ExperimentConfig:
 
         for name in ("fold_count", "given_n", "min_train_items"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                problems.append(f"{name} must be a positive integer, got {value!r}")
+            problem = _positive_int(value)
+            if problem:
+                problems.append(f"{name} {problem}, got {value!r}")
         if not isinstance(self.rng_seed, int) or isinstance(self.rng_seed, bool):
             problems.append(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        return problems
 
-        if problems:
-            raise ConfigurationError(problems)
+    def list_sets(self) -> dict[str, list[tuple[str, str]]]:
+        """For each report label, the ``(algorithm, list label)`` key of each
+        configured algorithm's lists, in name order. An algorithm that reads
+        no content lists under ``NO_SELECTION_LABEL``, and so does every
+        report of a run without a content algorithm."""
+        labels = [NO_SELECTION_LABEL]
+        if self._needs_content():
+            labels = [selection_label(sel) for sel in self.attribute_selections]
+        return {
+            label: [
+                (name, label if ALGORITHMS[name].needs_content else NO_SELECTION_LABEL)
+                for name in sorted(self.algorithms)
+            ]
+            for label in labels
+        }
 
     def resolved_algorithms(self) -> dict[str, dict[str, object]]:
         """Configured algorithms with defaults filled in for missing params."""
@@ -259,8 +296,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     fold_algorithms = [(spec, params) for spec, params in algorithms if not spec.needs_content]
     content_algorithms = [(spec, params) for spec, params in algorithms if spec.needs_content]
 
+    list_sets = config.list_sets()
     selections: list[tuple[str, ...]] = []
-    labels: list[str] = []
     if content_algorithms:
         corpus = load_content(config.content_path)
         gaps = corpus.missing_items(ds.items)
@@ -274,7 +311,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
             for sel in config.attribute_selections
         ]
-        labels = [selection_label(sel) for sel in config.attribute_selections]
 
     plan = plan_splits(
         ds,
@@ -304,7 +340,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         profiles_by_fold[fold] = profiles
         lists_store.update(fold_lists)
         log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(profiles))
-    for names, label in zip(selections, labels):
+    # with content algorithms, list_sets is keyed by the selections' labels in order
+    for names, label in zip(selections, list_sets):
         lists_store.update(
             _content_lists(
                 corpus, names, label, stopwords, content_algorithms, profiles_by_fold, kmax
@@ -330,11 +367,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     records.append(ReportRecord(algorithm, label, fold, k, metric, value))
 
         if len(algorithms) >= 2:
-            for label in labels or [NO_SELECTION_LABEL]:
-                available = []
-                for spec, _ in algorithms:
-                    list_label = label if spec.needs_content else NO_SELECTION_LABEL
-                    available.append((spec.name, lists_store[(spec.name, list_label, fold)]))
+            for label, keys in list_sets.items():
+                available = [(name, lists_store[(name, list_label, fold)]) for name, list_label in keys]
                 for (name_a, lists_a), (name_b, lists_b) in combinations(available, 2):
                     pair = f"{name_a}_x_{name_b}"
                     for k in config.k_values:
@@ -550,49 +584,34 @@ def read_run_lists(run_dir):
 
     Returns ``(lists, hidden)`` where lists maps (algorithm, selection) to
     {user_id: RecommendationList} pooled across folds, and hidden maps
-    user_id to the user's hidden item set. The list sets are the ones the
-    run's ``config.json`` configured (each algorithm with each selection
-    label, or with ``NO_SELECTION_LABEL`` when it reads no content), and each
-    holds a list for every user of ``hidden.csv``: an empty list has no rows
-    in ``lists.csv``, so even a set whose lists are all empty is restored.
+    user_id to the user's hidden item set. The run's ``config.json`` must
+    hold every field and pass ``ExperimentConfig.problems()``; its paths need
+    not exist here. The list sets are its ``list_sets()``, and each holds a
+    list for every user of ``hidden.csv``: an empty list has no rows in
+    ``lists.csv``, so even a set whose lists are all empty is restored.
     Every list's ``target_k`` is the run's largest k: the lists were cut there.
     A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
     """
     run = Path(run_dir)
     config_path = run / "config.json"
-    with open(config_path, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except ValueError:  # not JSON, or not UTF-8
-            config = None
-    if not isinstance(config, dict):
-        raise RecbenchError(f"{config_path}: not a JSON object")
-    k_values = config.get("k_values")
-    if not isinstance(k_values, list) or not k_values or not all(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_values
-    ):
-        raise RecbenchError(f"{config_path}: no valid k_values, so the lists' cutoff is unknown")
-    target_k = max(k_values)
-    algorithms = config.get("algorithms")
-    if not isinstance(algorithms, dict) or not algorithms or not set(algorithms) <= set(ALGORITHMS):
-        raise RecbenchError(f"{config_path}: algorithms must name known algorithms, got {algorithms!r}")
-    selections = config.get("attribute_selections")
-    if not isinstance(selections, list) or not selections or not all(
-        sel == "all" or isinstance(sel, list) and sel and all(isinstance(a, str) and a for a in sel)
-        for sel in selections
-    ):
-        raise RecbenchError(f"{config_path}: malformed attribute_selections {selections!r}")
+    raw, problems = ExperimentConfig.read_json(config_path)
+    # the writer writes every field: a lost one is reported, never checked
+    # (or used) as its default
+    missing = [f"missing config key {f.name!r}" for f in fields(ExperimentConfig) if f.name not in raw]
+    config = ExperimentConfig(**raw)
+    problems += missing or config.problems()
+    if problems:
+        raise ConfigurationError(f"{config_path}: {'; '.join(problems)}")
+    target_k = max(config.k_values)
     sets: dict[str, set[str]] = {}
     for _, row in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
         sets.setdefault(row["user_id"], set()).add(row["item_id"])
     if not sets:
         raise RecbenchError(f"{run / 'hidden.csv'}: no hidden items, so the run has no test users")
     hidden = {u: frozenset(s) for u, s in sets.items()}
-    labels = [selection_label(sel) for sel in selections]
     # (rank, item, score, line) per (algorithm, selection) and user
     rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {
-        (name, label if ALGORITHMS[name].needs_content else NO_SELECTION_LABEL): {u: [] for u in hidden}
-        for name in algorithms for label in labels
+        key: {u: [] for u in hidden} for keys in config.list_sets().values() for key in keys
     }
     lists_path = run / "lists.csv"
     columns = ("algorithm", "attribute_selection", "user_id", "rank", "item_id", "score")

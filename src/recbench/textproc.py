@@ -119,17 +119,9 @@ class DocumentIndex:
     Immutable once constructed; safe to query concurrently.
     """
 
-    def __init__(
-        self,
-        vocabulary: Vocabulary,
-        vectors: Mapping[str, SparseVector],
-        attribute_selection: Sequence[str],
-    ):
-        if not attribute_selection:
-            raise ValueError("attribute_selection must be non-empty")
+    def __init__(self, vocabulary: Vocabulary, vectors: Mapping[str, SparseVector]):
         self.vocabulary = vocabulary
         self.vectors: dict[str, SparseVector] = dict(vectors)
-        self.attribute_selection: tuple[str, ...] = tuple(attribute_selection)
         n_terms = len(vocabulary)
         for item_id, vec in self.vectors.items():
             for t in vec.entries:
@@ -237,7 +229,7 @@ def build_index(
             if w != 0.0:
                 entries[i] = w
         vectors[item_id] = SparseVector(entries)
-    return DocumentIndex(vocab, vectors, selection)
+    return DocumentIndex(vocab, vectors)
 
 
 # relative allowance for rounding in the pruning bounds and partial sums,

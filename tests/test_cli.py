@@ -291,6 +291,23 @@ class TestCompare:
         assert proc.returncode == 1
         assert "holds 0 matching list sets (cf/-, sup/all)" in proc.stderr
 
+    def test_run_without_selections_is_compared(self, workspace, tmp_path, capsys):
+        """A cf-only run may configure no attribute selection at all."""
+        _, interactions, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "interactions_path": interactions,
+            "algorithms": {"cf": {}},
+            "attribute_selections": [],
+            "k_values": [5],
+            "fold_count": 3,
+        }))
+        run = tmp_path / "run"
+        assert cli.main(["run", "--config", str(config), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--run-a", str(run), "--run-b", str(run), "--k", "5"]) == 0
+        assert f"run_a: {run} algorithm=cf attribute_selection=-\n" in capsys.readouterr().out
+
     def test_all_empty_list_set_is_compared(self, tmp_path, capsys):
         """Disjoint profiles give cf no neighbour, so no cf list has a row in
         lists.csv; the set still exists, as the run's config.json says."""
@@ -331,8 +348,10 @@ class TestCompare:
                 ("user-without-hidden-set", "lists.csv:2:", "in the run's config.json and hidden.csv"),
                 ("no-hidden-rows", "hidden.csv:", "the run has no test users"),
                 ("unconfigured-list-set", "lists.csv:2:", "no upa/all list of user"),
-                ("malformed-algorithms", "config.json:", "algorithms must name known algorithms"),
-                ("malformed-selections", "config.json:", "malformed attribute_selections"),
+                ("malformed-algorithms", "config.json:", "algorithms must be a non-empty mapping"),
+                ("malformed-selections", "config.json:", 'attribute selection must be "all" or'),
+                ("missing-k-values", "config.json:", "missing config key 'k_values'"),
+                ("unknown-config-key", "config.json:", "unknown config key 'k_value'"),
             )
         ],
     )
@@ -357,8 +376,12 @@ class TestCompare:
             first[:2] = ["upa", "all"]
         elif case == "malformed-algorithms":
             config["algorithms"] = ["cf", "sup"]
-        else:
+        elif case == "malformed-selections":
             config["attribute_selections"] = [7]
+        elif case == "missing-k-values":
+            del config["k_values"]
+        else:
+            config["k_value"] = config["k_values"]
         with open(broken / "lists.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         (broken / "config.json").write_text(json.dumps(config))

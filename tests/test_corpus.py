@@ -57,17 +57,6 @@ class TestInteractionDataset:
         with pytest.raises(ValueError, match="duplicate"):
             _ds([("u", "i", 1.0), ("u", "i", 2.0)])
 
-    def test_catalog_supersets_allowed(self):
-        ds = InteractionDataset(
-            [Interaction("u", "i", 1.0)], users=["u", "ghost"], items=["i", "unrated"]
-        )
-        assert ds.n_users == 2 and ds.n_items == 2
-        assert ds.profile("ghost") == {}
-        assert ds.users_of_item("unrated") == ()
-
-    def test_out_of_catalog_interaction_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            InteractionDataset([Interaction("u", "i", 1.0)], users=["other"], items=["i"])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -78,6 +67,8 @@ class TestInteractionDataset:
         assert ds.profile("u1") == {"a": 4.0, "b": 2.0}
         assert ds.users_of_item("a") == ("u1", "u2")
         assert ds.has_user("u2") and not ds.has_user("u3")
+        with pytest.raises(KeyError):
+            ds.profile("u3")
 
 
 class TestLoadInteractions:
@@ -290,11 +281,7 @@ class TestStats:
             for u in range(n_users):
                 for i in rng.sample(range(n_items), rng.randint(1, n_items)):
                     pairs.add((f"u{u}", f"i{i}"))
-            ds = InteractionDataset(
-                [Interaction(u, i, 1.0) for u, i in sorted(pairs)],
-                users=[f"u{u}" for u in range(n_users)],
-                items=[f"i{i}" for i in range(n_items)],
-            )
+            ds = InteractionDataset([Interaction(u, i, 1.0) for u, i in sorted(pairs)])
             s = compute_stats(ds)
             assert math.isclose(s.avg_items_per_user * s.n_users, s.n_activities, rel_tol=1e-12)
             assert math.isclose(s.avg_users_per_item * s.n_items, s.n_activities, rel_tol=1e-12)
@@ -371,6 +358,16 @@ class TestSplits:
                     assert split.train.profile(user) == ds.profile(user)
             assert split.train.users == ds.users
             assert split.train.items == ds.items
+
+    def test_split_keeps_items_that_lost_all_activities(self):
+        # every item has one rater, so each hidden item loses all its activities
+        ds = _ds([(u, f"{u}{j}", 1.0) for u in ("a", "b") for j in range(2)])
+        plan = plan_splits(ds, fold_count=2, given_n=1, min_train_items=1)
+        for fold in range(2):
+            split = materialize_split(ds, plan, fold)
+            assert split.train.items == ds.items
+            for item in frozenset().union(*split.hidden.values()):
+                assert split.train.users_of_item(item) == ()
 
     def test_profiles_iterate_in_ascending_item_id(self):
         ds = _protocol_ds()  # each profile's rows are in random item order

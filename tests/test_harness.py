@@ -3,6 +3,7 @@ import json
 import math
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,17 @@ class TestConfig:
         assert resolved["cf"]["similarity_metric"] == "cosine"
         assert resolved["upa"]["profile_term_budget"] == 9
         assert "sup" not in resolved
+
+    def test_readme_example_passes_the_shared_rules(self, tmp_path):
+        """The README's experiment.json names only real fields and breaks no
+        rule; only its paths, which need not exist here, go unchecked."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("`experiment.json` mirrors", 1)[1].split("```json\n", 1)[1]
+        p = tmp_path / "experiment.json"
+        p.write_text(block.split("```", 1)[0], encoding="utf-8")
+        raw, problems = ExperimentConfig.read_json(p)
+        assert problems == []
+        assert ExperimentConfig(**raw).problems() == []
 
     def test_selection_labels(self):
         assert selection_label("all") == "all"
@@ -324,6 +336,23 @@ class TestRunDir:
         written = write_run_dir(run_experiment(one_k), one_k, out)
         assert sorted(p.name for p in out.iterdir()) == sorted(written)
         assert "plot_data.csv" not in written
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(algorithms={"cf": {}}, attribute_selections=[]),
+            dict(algorithms={"cf": {}}),
+            dict(algorithms={"cf": {}, "sup": {}}, attribute_selections=["all", ["plot"]]),
+            dict(algorithms={"sup": {}, "upa": {}}),
+        ],
+        ids=["cf-no-selection", "cf-default-selections", "cf-sup-two-selections", "sup-upa"],
+    )
+    def test_reader_restores_the_written_list_sets(self, paths, tmp_path, overrides):
+        cfg = make_config(paths, **overrides)
+        result = run_experiment(cfg)
+        write_run_dir(result, cfg, tmp_path / "run")
+        lists, _ = read_run_lists(tmp_path / "run")
+        assert set(lists) == {(a, label) for a, label, _ in result.lists}
 
     def test_lists_round_trip_including_empty(self, tmp_path):
         lists = {

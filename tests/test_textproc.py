@@ -197,7 +197,7 @@ class TestVectors:
             df={f"t{i:02d}": 2 for i in range(n_terms)},
             n_docs=2,
         )
-        ranked = top_k_similar(DocumentIndex(vocab, {"b": b}, ("text",)), a, 1)
+        ranked = top_k_similar(DocumentIndex(vocab, {"b": b}), a, 1)
         return ranked[0][1] if ranked else 0.0
 
     def test_cosine_hand_value(self):
@@ -269,7 +269,7 @@ def _index(vectors, n_terms=10):
     """An index over the terms t00.. whose items carry the given weights."""
     terms = tuple(f"t{i:02d}" for i in range(n_terms))
     vocab = Vocabulary(terms=terms, df=dict.fromkeys(terms, 2), n_docs=2)
-    return DocumentIndex(vocab, {item: SparseVector(e) for item, e in vectors.items()}, ("text",))
+    return DocumentIndex(vocab, {item: SparseVector(e) for item, e in vectors.items()})
 
 
 def _oracle(index, query, k):
