@@ -41,29 +41,25 @@ class InteractionDataset:
 
     def __init__(self, interactions: Iterable[Interaction]):
         profiles: dict[str, dict[str, float]] = {}
-        item_users: dict[str, list[str]] = {}
+        items: dict[str, None] = {}
         for x in interactions:
             profile = profiles.setdefault(x.user_id, {})
             if x.item_id in profile:
                 raise ValueError(f"duplicate interaction for {(x.user_id, x.item_id)!r}")
             profile[x.item_id] = x.rating
-            item_users.setdefault(x.item_id, []).append(x.user_id)
+            items[x.item_id] = None
         if not profiles:
             raise EmptyDatasetError("dataset must contain at least one interaction")
         self.users: tuple[str, ...] = tuple(profiles)
-        self.items: tuple[str, ...] = tuple(item_users)
+        self.items: tuple[str, ...] = tuple(items)
         self._profiles = {u: dict(sorted(p.items())) for u, p in profiles.items()}
-        self._item_users = {i: tuple(us) for i, us in item_users.items()}
 
     def _without(self, hidden: Mapping[str, frozenset[str]]) -> "InteractionDataset":
         """A shallow copy without each ``hidden`` user's items; untouched rows are shared."""
         out = copy.copy(self)
         out._profiles = dict(self._profiles)
-        out._item_users = dict(self._item_users)
         for user, items in hidden.items():
             out._profiles[user] = {i: r for i, r in self._profiles[user].items() if i not in items}
-            for i in items:
-                out._item_users[i] = tuple(u for u in out._item_users[i] if u != user)
         return out
 
     @property
@@ -89,9 +85,6 @@ class InteractionDataset:
 
     def has_user(self, user_id: str) -> bool:
         return user_id in self._profiles
-
-    def users_of_item(self, item_id: str) -> tuple[str, ...]:
-        return self._item_users.get(item_id, ())
 
 
 def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
@@ -303,7 +296,11 @@ class DatasetStats:
 def compute_stats(ds: InteractionDataset) -> DatasetStats:
     """Compute descriptive statistics for ``ds``."""
     per_user = [len(ds.profile(u)) for u in ds.users]
-    per_item = [len(ds.users_of_item(i)) for i in ds.items]
+    raters = dict.fromkeys(ds.items, 0)
+    for profile in ds.profiles.values():
+        for i in profile:
+            raters[i] += 1
+    per_item = list(raters.values())
     return DatasetStats.from_counts(
         n_users=ds.n_users,
         n_items=ds.n_items,

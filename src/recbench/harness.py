@@ -6,7 +6,7 @@ produce byte-identical reports)."""
 import csv
 import json
 import logging
-import statistics
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -469,6 +469,23 @@ def emit_report(records, path, format: str = "csv") -> None:
             fh.write("\n")
 
 
+def _pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation, correctly rounded on every Python version
+    (``statistics.pstdev`` is only from 3.11 on): the square root of the exact
+    variance ``num / den``, rounded once."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)  # float denominators are powers of two
+    xs = [n * (scale // d) for n, d in ratios]
+    num = len(xs) * sum(x * x for x in xs) - sum(xs) ** 2
+    den = (len(xs) * scale) ** 2
+    # scaled by 4**e the integer root holds at least 55 bits; setting its last
+    # bit when inexact (round to odd) lets int / int round it once, correctly
+    e = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * e) // den)
+    root |= root * root * den != num << 2 * e
+    return root / (1 << e)
+
+
 def summarize(records) -> list[tuple[str, str, int, str, float, float]]:
     """Cross-fold aggregation: mean and population standard deviation of the
     fold values for every (algorithm, selection, k, metric)."""
@@ -481,8 +498,7 @@ def summarize(records) -> list[tuple[str, str, int, str, float, float]]:
         total = 0.0
         for value in values:
             total += value
-        std = statistics.pstdev(values) if len(values) > 1 else 0.0
-        out.append((algorithm, label, k, metric, total / len(values), std))
+        out.append((algorithm, label, k, metric, total / len(values), _pstdev(values)))
     return out
 
 

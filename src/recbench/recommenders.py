@@ -103,8 +103,9 @@ class CFModel:
 
     It reads the training set's profiles in place and sums over each in its
     ascending item order; an unrated interaction was loaded as 1.0, so purely
-    implicit data yields a binary matrix. Instances are immutable after
-    fitting and safe for concurrent queries.
+    implicit data yields a binary matrix. Fitting adds one column per item
+    (user -> rating), which lives as long as the model. Instances are
+    immutable after fitting and safe for concurrent queries.
     """
 
     def __init__(self, train: InteractionDataset, neighborhood_size: int, similarity_metric: str):
@@ -116,12 +117,13 @@ class CFModel:
         self.similarity_metric = similarity_metric
         self._profiles = train.profiles
         self._norms: dict[str, float] = {}
+        self._columns: dict[str, dict[str, float]] = {}
         for u, prof in self._profiles.items():
             s = 0.0
-            for r in prof.values():
+            for i, r in prof.items():
                 s += r * r
+                self._columns.setdefault(i, {})[u] = r
             self._norms[u] = math.sqrt(s)
-        self._users_of_item = train.users_of_item
 
     def __contains__(self, user_id: str) -> bool:
         return user_id in self._profiles
@@ -130,7 +132,8 @@ class CFModel:
         return self._profiles[user_id]
 
     def similarity(self, user_a: str, user_b: str) -> float:
-        """Similarity between two known users under the configured metric."""
+        """Similarity between two known users under the configured metric; the
+        pairwise reference that ``neighbors()`` matches bit for bit."""
         pa, pb = self._profiles[user_a], self._profiles[user_b]
         common = [i for i in pa if i in pb]
         if self.similarity_metric == "cosine":
@@ -167,13 +170,26 @@ class CFModel:
         """The user's most similar co-rating users, strongest first.
 
         Only users with strictly positive similarity qualify; at most
-        ``neighborhood_size`` are returned, ties broken by ascending id.
+        ``neighborhood_size`` are returned, ties broken by ascending id. One
+        pass over the user's profile, in ascending item order, reads every
+        co-rater from the item columns, so each pair sums its common items in
+        the order ``similarity()`` does and gets bit-identical scores.
         """
-        co_users: set[str] = set()
-        for i in self._profiles[user_id]:
-            co_users.update(self._users_of_item(i))
-        co_users.discard(user_id)
-        sims = {v: self.similarity(user_id, v) for v in co_users}
+        pa = self._profiles[user_id]
+        if self.similarity_metric == "cosine":
+            dots: dict[str, float] = {}
+            for i, ra in pa.items():
+                for v, rb in self._columns[i].items():
+                    dots[v] = dots.get(v, 0.0) + ra * rb
+            na = self._norms[user_id]
+            sims = {v: dot / (na * self._norms[v]) for v, dot in dots.items() if dot != 0.0 and v != user_id}
+        else:
+            commons: dict[str, list[str]] = {}
+            for i in pa:
+                for v in self._columns[i]:
+                    commons.setdefault(v, []).append(i)
+            commons.pop(user_id, None)
+            sims = {v: self._pearson(pa, self._profiles[v], common) for v, common in commons.items()}
         return tuple(_top(sims, self.neighborhood_size))
 
 

@@ -94,6 +94,67 @@ def oracle_sup(vectors, profile_ids, votes_per_item, k):
     return ranked[:k]
 
 
+def oracle_cf_similarity(ratings, user, other, metric):
+    """User-user similarity from ``ratings`` ({user: {item: rating}}).
+
+    The common items are listed in ``user``'s ascending item order. Cosine
+    divides their dot product by the two profiles' norms (0 for a zero dot);
+    pearson is the clamped correlation over at least two common items (0 when
+    either side has no variance).
+    """
+    a, b = ratings[user], ratings[other]
+    common = [i for i in sorted(a) if i in b]
+    if metric == "cosine":
+        dot = 0.0
+        for i in common:
+            dot += a[i] * b[i]
+        if dot == 0.0:
+            return 0.0
+        return dot / (oracle_norm(a) * oracle_norm(b))
+    if len(common) < 2:
+        return 0.0
+    sum_a = sum_b = 0.0
+    for i in common:
+        sum_a += a[i]
+        sum_b += b[i]
+    mean_a, mean_b = sum_a / len(common), sum_b / len(common)
+    cov = var_a = var_b = 0.0
+    for i in common:
+        da, db = a[i] - mean_a, b[i] - mean_b
+        cov += da * db
+        var_a += da * da
+        var_b += db * db
+    if var_a == 0.0 or var_b == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, cov / math.sqrt(var_a * var_b)))
+
+
+def oracle_cf_neighbors(ratings, user, neighborhood_size, metric):
+    """Every other user scored exhaustively; the positive ones ranked by
+    ``(-similarity, id)`` and cut at ``neighborhood_size``."""
+    sims = []
+    for v in ratings:
+        if v != user:
+            s = oracle_cf_similarity(ratings, user, v, metric)
+            if s > 0.0:
+                sims.append((v, s))
+    sims.sort(key=lambda e: (-e[1], e[0]))
+    return sims[:neighborhood_size]
+
+
+def oracle_cf(ratings, user, neighborhood_size, k, metric):
+    """User-based CF: each candidate outside the user's profile sums
+    similarity times rating over the neighbours, taken in ascending id."""
+    own = ratings[user]
+    scores = {}
+    for v, sim in sorted(oracle_cf_neighbors(ratings, user, neighborhood_size, metric)):
+        for i in sorted(ratings[v]):
+            if i not in own:
+                scores[i] = scores.get(i, 0.0) + sim * ratings[v][i]
+    ranked = sorted(((i, s) for i, s in scores.items() if s > 0.0), key=lambda e: (-e[1], e[0]))
+    return ranked[:k]
+
+
 def oracle_ap(ranked_ids, hidden, k):
     """Average precision, recomputing precision from scratch at every rank."""
     prefix = list(ranked_ids)[:k]

@@ -65,7 +65,6 @@ class TestInteractionDataset:
     def test_profiles_and_inverse(self):
         ds = _ds([("u1", "a", 4.0), ("u1", "b", 2.0), ("u2", "a", 5.0)])
         assert ds.profile("u1") == {"a": 4.0, "b": 2.0}
-        assert ds.users_of_item("a") == ("u1", "u2")
         assert ds.has_user("u2") and not ds.has_user("u3")
         with pytest.raises(KeyError):
             ds.profile("u3")
@@ -367,7 +366,7 @@ class TestSplits:
             split = materialize_split(ds, plan, fold)
             assert split.train.items == ds.items
             for item in frozenset().union(*split.hidden.values()):
-                assert split.train.users_of_item(item) == ()
+                assert not any(item in p for p in split.train.profiles.values())
 
     def test_profiles_iterate_in_ascending_item_id(self):
         ds = _protocol_ds()  # each profile's rows are in random item order
@@ -375,15 +374,6 @@ class TestSplits:
         for data in (ds, *(materialize_split(ds, plan, fold).train for fold in range(3))):
             for user in data.users:
                 assert list(data.profile(user)) == sorted(data.profile(user))
-
-    def test_split_inverse_rows_match_training_profiles(self):
-        ds = _protocol_ds()
-        plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
-        for fold in range(3):
-            train = materialize_split(ds, plan, fold).train
-            for item in ds.items:
-                holders = [u for u in train.users if item in train.profile(u)]
-                assert sorted(train.users_of_item(item)) == sorted(holders)
 
     def test_split_drops_exactly_the_hidden_activities(self):
         ds = _protocol_ds()
@@ -402,7 +392,6 @@ class TestSplits:
             assert {u: list(p.items()) for u, p in ds.profiles.items()} == {
                 u: list(p.items()) for u, p in fresh.profiles.items()
             }
-            assert [ds.users_of_item(i) for i in ds.items] == [fresh.users_of_item(i) for i in fresh.items]
             assert ds.n_activities == fresh.n_activities
 
     def test_materialize_is_repeatable(self):

@@ -286,6 +286,18 @@ class TestEmitters:
         records = [ReportRecord("cf", "-", f, 10, "map", v) for f, v in enumerate([1e16, 1.0, -1e16])]
         assert summarize(records)[0][4] == 0.0
 
+    def test_summarize_std_is_correctly_rounded(self):
+        """Fold values 0, 0, 0, 0, 1/4, 3/4 have variance 11/144, so the std is
+        sqrt(11)/12 = 0.27638539919628332076..., between the doubles
+        0.276385399196283298995... and 0.276385399196283354506...; the first
+        is nearer. Rounding the variance to a float before its square root
+        (``statistics.pstdev`` before Python 3.11) gives the second."""
+        records = [ReportRecord("cf", "-", f, 10, "map", v) for f, v in enumerate([0, 0, 0, 0, 0.25, 0.75])]
+        assert summarize(records)[0][5] == 0.2763853991962833
+        assert math.sqrt(11 / 144) == 0.27638539919628335
+        one = [ReportRecord("cf", "-", 0, 10, "map", 0.3)]
+        assert summarize(one)[0][5] == 0.0
+
     def test_plot_data_blocks(self, records, tmp_path):
         inter = [
             IntersectionRecord("cf", "sup", "all", 10, 3, 4, 5),

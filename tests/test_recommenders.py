@@ -26,7 +26,7 @@ from recbench import (
 from recbench import recommenders
 
 from conftest import as_term_dicts
-from oracles import oracle_sup, oracle_upa
+from oracles import oracle_cf, oracle_cf_neighbors, oracle_sup, oracle_upa
 import synth
 
 
@@ -186,6 +186,70 @@ class TestCF:
         model = fit_cf(ratings_4x5)
         with pytest.raises(ValueError):
             recommend_cf(model, _profile(ratings_4x5, "u1"), 0)
+
+
+def _random_explicit(rng):
+    """Sparse random ratings over ten items, some of them 0.0. Two users rate
+    six items, so a two-fold split with ``given_n=2`` has users to hide."""
+    items = [f"i{n}" for n in range(10)]
+    rows = []
+    for n in range(rng.randint(6, 12)):
+        for item in rng.sample(items, 6 if n < 2 else rng.randint(1, 6)):
+            r = rng.choice((0.0, 1.0, 2.5, 5.0)) if rng.random() < 0.6 else rng.uniform(0.0, 5.0)
+            rows.append(Interaction(f"u{n:02d}", item, r))
+    return InteractionDataset(rows)
+
+
+class TestCFAgainstBruteForce:
+    """``neighbors`` and ``recommend_cf`` equal the exhaustive oracle exactly,
+    on random datasets and on their training splits."""
+
+    @pytest.mark.parametrize("metric", recommenders.SIMILARITY_METRICS)
+    def test_matches_oracle(self, metric):
+        rng = random.Random(4321)
+        zero_ratings = single_common = 0
+        for trial in range(25):
+            ds = _random_explicit(rng)
+            plan = plan_splits(ds, fold_count=2, given_n=2, min_train_items=2, rng_seed=trial)
+            for data in (ds, *(materialize_split(ds, plan, fold).train for fold in range(2))):
+                ratings = {u: dict(data.profile(u)) for u in data.users}
+                zero_ratings += sum(r == 0.0 for p in ratings.values() for r in p.values())
+                single_common += sum(
+                    len(ratings[u].keys() & ratings[v].keys()) == 1
+                    for u in ratings for v in ratings if u < v
+                )
+                for size in (1, 3, 50):
+                    model = fit_cf(data, neighborhood_size=size, similarity_metric=metric)
+                    for u in data.users:
+                        assert list(model.neighbors(u)) == oracle_cf_neighbors(ratings, u, size, metric)
+                        lst = recommend_cf(model, UserProfile.from_training(data, u), 5)
+                        assert list(lst.entries) == oracle_cf(ratings, u, size, 5, metric)
+        assert zero_ratings and single_common
+
+    def test_each_pair_sums_in_the_users_item_order(self):
+        """Co-rated products 1e16, 1.0, 1.0 by ascending item id sum to 1e16
+        left to right and to 1e16 + 2 right to left, so a score that summed
+        them in another order would differ from ``similarity()``."""
+        cosine = InteractionDataset(
+            Interaction(u, i, r) for u in "ab" for i, r in (("i1", 1e8), ("i2", 1.0), ("i3", 1.0))
+        )
+        # pearson sums the ratings themselves first: 1e16, 1.0, 1.0 again
+        pearson = InteractionDataset(
+            [Interaction("a", i, r) for i, r in (("i1", 1e16), ("i2", 1.0), ("i3", 1.0))]
+            + [Interaction("b", i, r) for i, r in (("i1", 4.0), ("i2", 1.0), ("i3", 2.0))]
+        )
+        for metric, ds in (("cosine", cosine), ("pearson", pearson)):
+            model = fit_cf(ds, similarity_metric=metric)
+            for u, v in (("a", "b"), ("b", "a")):
+                ((neighbor, score),) = model.neighbors(u)
+                assert neighbor == v
+                assert score.hex() == model.similarity(u, v).hex()
+        # the order shows on these inputs: right to left gives other scores
+        assert fit_cf(cosine).neighbors("a") == (("b", 1.0),)
+        assert (1.0 + 1.0) + 1e16 == 1e16 + 2.0
+        pa, pb = pearson.profile("a"), pearson.profile("b")
+        pearson_of = recommenders.CFModel._pearson
+        assert pearson_of(pa, pb, ["i1", "i2", "i3"]) != pearson_of(pa, pb, ["i3", "i2", "i1"])
 
 
 @pytest.fixture
