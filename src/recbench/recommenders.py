@@ -135,29 +135,32 @@ class CFModel:
         """Similarity between two known users under the configured metric; the
         pairwise reference that ``neighbors()`` matches bit for bit."""
         pa, pb = self._profiles[user_a], self._profiles[user_b]
-        common = [i for i in pa if i in pb]
+        pairs = [(ra, pb[i]) for i, ra in pa.items() if i in pb]
         if self.similarity_metric == "cosine":
             dot = 0.0
-            for i in common:
-                dot += pa[i] * pb[i]
+            for ra, rb in pairs:
+                dot += ra * rb
             if dot == 0.0:
                 return 0.0
             return dot / (self._norms[user_a] * self._norms[user_b])
-        return self._pearson(pa, pb, common)
+        return self._pearson(pairs)
 
     @staticmethod
-    def _pearson(pa: Mapping[str, float], pb: Mapping[str, float], common: list[str]) -> float:
-        if len(common) < 2:
+    def _pearson(pairs: list[tuple[float, float]]) -> float:
+        """The clamped correlation of ``(rating_a, rating_b)`` pairs, summed in
+        list order; 0 for fewer than two pairs or a side with no variance."""
+        n = len(pairs)
+        if n < 2:
             return 0.0
         sum_a = sum_b = 0.0
-        for i in common:
-            sum_a += pa[i]
-            sum_b += pb[i]
-        mean_a, mean_b = sum_a / len(common), sum_b / len(common)
+        for ra, rb in pairs:
+            sum_a += ra
+            sum_b += rb
+        mean_a, mean_b = sum_a / n, sum_b / n
         cov = var_a = var_b = 0.0
-        for i in common:
-            da = pa[i] - mean_a
-            db = pb[i] - mean_b
+        for ra, rb in pairs:
+            da = ra - mean_a
+            db = rb - mean_b
             cov += da * db
             var_a += da * da
             var_b += db * db
@@ -184,12 +187,12 @@ class CFModel:
             na = self._norms[user_id]
             sims = {v: dot / (na * self._norms[v]) for v, dot in dots.items() if dot != 0.0 and v != user_id}
         else:
-            commons: dict[str, list[str]] = {}
-            for i in pa:
-                for v in self._columns[i]:
-                    commons.setdefault(v, []).append(i)
-            commons.pop(user_id, None)
-            sims = {v: self._pearson(pa, self._profiles[v], common) for v, common in commons.items()}
+            pairs: dict[str, list[tuple[float, float]]] = {}
+            for i, ra in pa.items():
+                for v, rb in self._columns[i].items():
+                    pairs.setdefault(v, []).append((ra, rb))
+            pairs.pop(user_id, None)
+            sims = {v: self._pearson(common) for v, common in pairs.items()}
         return tuple(_top(sims, self.neighborhood_size))
 
 

@@ -9,7 +9,7 @@ import heapq
 import math
 import re
 from collections import Counter, defaultdict
-from collections.abc import Mapping, Sequence, Set as AbstractSet
+from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import accumulate
@@ -236,6 +236,10 @@ def build_index(
 # whose own float error is ~1e-16 per term added
 _SLACK = 1e-9
 
+# once a walk that has not stopped has reached more than this share of the
+# index, the rest of its postings cost more than scoring every item directly
+_SCAN_SHARE = 0.5
+
 
 def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tuple[str, float]]:
     """Rank indexed items by cosine similarity to ``query``.
@@ -253,6 +257,12 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     still reaches the k-th partial score are rescored exactly from their own
     vectors; both comparisons allow a relative slack for rounding, so only
     items that cannot reach the k-th score are skipped.
+
+    A query that has reached more than ``_SCAN_SHARE`` of the index without
+    stopping, as a long query over common terms does, would rescore most of
+    the index anyway: reading stops there and every item's vector is scored
+    instead. Both paths score an item by the same sum in the same order and
+    select by the same key, so they return the same list, bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -265,6 +275,7 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     walk = sorted(((qw * bounds[t], t) for t, qw in entries.items() if t in bounds), reverse=True)
     # rests[j]: the most the terms walk[j:] can add to any item's score
     rests = [*accumulate((bound for bound, _ in reversed(walk)), initial=0.0)][::-1]
+    scan_at = _SCAN_SHARE * len(index)
     acc: dict[str, float] = {}
     get = acc.get
     rest = 0.0
@@ -277,17 +288,25 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
         bar = rest * (1.0 + _SLACK)
         if len(acc) >= k and sum(map(bar.__lt__, acc.values())) >= k:
             break
+        if len(acc) > scan_at:
+            return _scored(index, entries, qnorm, k, index.vectors)
     cut = 0.0
     if len(acc) > k:
         kth = heapq.nlargest(k, acc.values())[-1]
         cut = kth * (1.0 - _SLACK) / (1.0 + _SLACK) - rest
+    return _scored(index, entries, qnorm, k, (item_id for item_id, p in acc.items() if p >= cut))
+
+
+def _scored(
+    index: DocumentIndex, entries: Mapping[int, float], qnorm: float, k: int, item_ids: Iterable[str]
+) -> list[tuple[str, float]]:
+    """The top ``k`` of ``item_ids`` by exact cosine with the query whose
+    weights are ``entries``, each dot product summed in ascending term order."""
     norms = index._norms
     vectors = index.vectors
     qget = entries.get
     scored = []
-    for item_id, partial in acc.items():
-        if partial < cut:
-            continue
+    for item_id in item_ids:
         d = 0.0
         for t, w in vectors[item_id].entries.items():
             qw = qget(t)

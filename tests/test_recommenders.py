@@ -248,8 +248,9 @@ class TestCFAgainstBruteForce:
         assert fit_cf(cosine).neighbors("a") == (("b", 1.0),)
         assert (1.0 + 1.0) + 1e16 == 1e16 + 2.0
         pa, pb = pearson.profile("a"), pearson.profile("b")
+        pairs = [(pa[i], pb[i]) for i in ("i1", "i2", "i3")]
         pearson_of = recommenders.CFModel._pearson
-        assert pearson_of(pa, pb, ["i1", "i2", "i3"]) != pearson_of(pa, pb, ["i3", "i2", "i1"])
+        assert pearson_of(pairs) != pearson_of(pairs[::-1])
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from recbench import (
     build_index,
     default_stopwords,
     load_stopwords,
+    textproc,
     tokenize,
     top_k_similar,
 )
@@ -327,28 +329,81 @@ def _logged(vectors):
     return index
 
 
+# _SCAN_SHARE for each path: "scan" switches after the first term unless the
+# walk stops there, "maxscore" never switches
+_SHARES = {"scan": 0.0, "maxscore": math.inf, "default": textproc._SCAN_SHARE}
+
+
+def _top_k(path, index, query, k):
+    with mock.patch.object(textproc, "_SCAN_SHARE", _SHARES[path]):
+        return top_k_similar(index, query, k)
+
+
+@pytest.fixture
+def maxscore(monkeypatch):
+    monkeypatch.setattr(textproc, "_SCAN_SHARE", _SHARES["maxscore"])
+
+
 class TestTopKAgainstOracle:
-    """``top_k_similar`` skips postings, so compare it, list for list, with
-    the brute-force ranking that scores every item."""
+    """``top_k_similar`` skips postings or scans every item, so compare it,
+    list for list, with the brute-force ranking that scores every item."""
 
     # items carry t00..t07 only; t08 and t09 have no postings and t10, t11
     # are outside the vocabulary
+    @pytest.mark.parametrize("path", _SHARES)
     @given(_random_index(), _unsorted(st.integers(0, 11)), st.integers(1, 20))
-    def test_random_index(self, index, query, k):
+    def test_random_index(self, path, index, query, k):
         query = SparseVector(query)
-        assert top_k_similar(index, query, k) == _oracle(index, query, k)
+        got = _top_k(path, index, query, k)
+        assert got == _oracle(index, query, k)
+        assert got == _top_k("scan", index, query, k) == _top_k("maxscore", index, query, k)
 
+    @pytest.mark.parametrize("path", _SHARES)
     @given(_long_low_postings(), _unsorted(st.integers(1, 3)), _WEIGHTS, st.integers(1, 4))
-    def test_long_low_postings(self, index, query, w0, k):
+    def test_long_low_postings(self, path, index, query, w0, k):
         query = SparseVector({**query, 0: w0})
-        assert top_k_similar(index, query, k) == _oracle(index, query, k)
+        got = _top_k(path, index, query, k)
+        assert got == _oracle(index, query, k)
+        assert got == _top_k("scan", index, query, k) == _top_k("maxscore", index, query, k)
 
+    def test_a_query_that_reaches_most_items_switches_to_the_scan(self):
+        # t00 (bound 2) reaches a, b and c, 3 of 4 items, and k = 4 partial
+        # scores cannot beat t01's bound yet: reading ends there, and the
+        # scan still finds d, which only the unread t01 reaches
+        vectors = {"a": {0: 1.0}, "b": {0: 1.0}, "c": {0: 1.0}, "d": {1: 1.0}}
+        query = SparseVector({0: 2.0, 1: 1.0})
+        for path, read in (("default", [0]), ("maxscore", [0, 1])):
+            index = _logged(vectors)
+            got = _top_k(path, index, query, 4)
+            assert index._postings.read == read, path
+            assert got == _oracle(index, query, 4)
+            assert [item for item, _ in got] == ["a", "b", "c", "d"]
+
+    def test_an_item_query_that_stops_early_keeps_maxscore(self):
+        # s0's own vector as the query, as sup asks: t00 reaches 2 of 22
+        # items, whose partial scores beat t01's bound, so the walk stops
+        # after one term on either path
+        vectors = {
+            "s0": {0: 2.0, 1: 1.0},
+            "s1": {0: 2.0},
+            **{f"l{n:02d}": {1: 1.0, 9: 1000.0} for n in range(20)},
+        }
+        for path in ("default", "maxscore"):
+            index = _logged(vectors)
+            query = index.vector("s0")
+            got = _top_k(path, index, query, 2)
+            assert index._postings.read == [0], path
+            assert got == _oracle(index, query, 2)
+            assert [item for item, _ in got] == ["s0", "s1"]
+
+    @pytest.mark.usefixtures("maxscore")
     def test_stop_is_taken_before_a_long_low_posting(self):
         index = _logged({"s0": {0: 1.0}, **{f"l{n:02d}": {1: 1.0, 9: 1000.0} for n in range(20)}})
         query = SparseVector({0: 1.0, 1: 1.0})
         assert top_k_similar(index, query, 1) == _oracle(index, query, 1)
         assert index._postings.read == [0]
 
+    @pytest.mark.usefixtures("maxscore")
     def test_tie_with_an_item_only_an_unread_term_reaches(self):
         # after t02 and t01, b and c hold the k-th partial score, 1, which
         # equals t00's bound; a, carrying only t00, ties with them and sorts
@@ -361,6 +416,7 @@ class TestTopKAgainstOracle:
         assert [item for item, _ in got] == ["z", "a", "b"]
         assert got[1][1] == got[2][1]
 
+    @pytest.mark.usefixtures("maxscore")
     def test_tie_with_an_item_whose_bound_rounds_below_the_kth_partial_score(self):
         # after t01 the walk stops (t's 3.6 beats t00's bound); p's partial
         # score plus that bound rounds to 3.5999999999999996, yet p's exact
