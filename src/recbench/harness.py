@@ -10,7 +10,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .corpus import (
@@ -606,6 +606,8 @@ def read_run_lists(run_dir):
     list for every user of ``hidden.csv``: an empty list has no rows in
     ``lists.csv``, so even a set whose lists are all empty is restored.
     Every list's ``target_k`` is the run's largest k: the lists were cut there.
+    Both files are read by column name through ``_csv_rows``, so a row with
+    more or fewer fields than its header is an error there.
     A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
     """
     run = Path(run_dir)
@@ -620,8 +622,8 @@ def read_run_lists(run_dir):
         raise ConfigurationError(f"{config_path}: {'; '.join(problems)}")
     target_k = max(config.k_values)
     sets: dict[str, set[str]] = {}
-    for _, row in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
-        sets.setdefault(row["user_id"], set()).add(row["item_id"])
+    for _, (user_id, item_id) in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
+        sets.setdefault(user_id, set()).add(item_id)
     if not sets:
         raise RecbenchError(f"{run / 'hidden.csv'}: no hidden items, so the run has no test users")
     hidden = {u: frozenset(s) for u, s in sets.items()}
@@ -631,22 +633,22 @@ def read_run_lists(run_dir):
     }
     lists_path = run / "lists.csv"
     columns = ("algorithm", "attribute_selection", "user_id", "rank", "item_id", "score")
-    for line, row in _csv_rows(lists_path, columns):
+    for line, (algorithm, selection, user_id, rank, item_id, score) in _csv_rows(lists_path, columns):
         try:
-            rank, score = int(row["rank"]), float(row["score"])
-        except (TypeError, ValueError):  # a short row holds None
+            rank, score = int(rank), float(score)
+        except ValueError:
             raise RecbenchError(
-                f"{lists_path}:{line}: rank {row['rank']!r} is not an integer "
-                f"or score {row['score']!r} is not a number"
+                f"{lists_path}:{line}: rank {rank!r} is not an integer "
+                f"or score {score!r} is not a number"
             ) from None
         try:
-            rows = rows_by_key[row["algorithm"], row["attribute_selection"]][row["user_id"]]
+            rows = rows_by_key[algorithm, selection][user_id]
         except KeyError:
             raise RecbenchError(
-                f"{lists_path}:{line}: no {row['algorithm']}/{row['attribute_selection']} list "
-                f"of user {row['user_id']!r} in the run's config.json and hidden.csv"
+                f"{lists_path}:{line}: no {algorithm}/{selection} list "
+                f"of user {user_id!r} in the run's config.json and hidden.csv"
             ) from None
-        rows.append((rank, row["item_id"], score, line))
+        rows.append((rank, item_id, score, line))
     lists: dict[tuple[str, str], dict[str, RecommendationList]] = {}
     for key, per_user in rows_by_key.items():
         lists[key] = {}
@@ -658,10 +660,12 @@ def read_run_lists(run_dir):
                         f"{lists_path}:{line}: the {'/'.join(key)} list of user {user_id!r} "
                         f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
                     )
-            entries = tuple((item_id, score) for _, item_id, score, _ in rows)
             try:
+                # __post_init__ builds the entries tuple from the pairs, once
                 lists[key][user_id] = RecommendationList(
-                    user_id=user_id, entries=entries, target_k=target_k
+                    user_id=user_id,
+                    entries=((item_id, score) for _, item_id, score, _ in rows),
+                    target_k=target_k,
                 )
             except ValueError as exc:
                 first = min(line for *_, line in rows)
@@ -672,16 +676,30 @@ def read_run_lists(run_dir):
 
 
 def _csv_rows(path, columns):
-    """Yield ``(line number, row)`` for each data row of the CSV file
-    ``path`` once its header is known to name every one of ``columns``."""
+    """Yield ``(line number, values)`` for each data row of the CSV file
+    ``path``, where values is the tuple of the row's fields in the order of
+    ``columns`` (two or more header names, looked up once by name). The
+    header must name every one of ``columns``, and every row must have as
+    many fields as the header; blank lines are skipped, and the line number
+    is the row's physical one."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}  # the last of repeated names
+            missing = [c for c in columns if c not in position]
             if missing:
                 raise RecbenchError(f"{path}:1: missing column(s) {', '.join(missing)}")
+            pick = itemgetter(*(position[c] for c in columns))
+            width = len(header)
             for row in reader:
-                yield reader.line_num, row
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise RecbenchError(
+                        f"{path}:{reader.line_num}: {len(row)} fields where the header has {width}"
+                    )
+                yield reader.line_num, pick(row)
         except UnicodeDecodeError:
             raise decode_error(path) from None
         except csv.Error as exc:

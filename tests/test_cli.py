@@ -156,6 +156,24 @@ def finished_run(workspace):
     return out
 
 
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def write_csv(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def compare_cf_sup(run):
+    """``recbench compare`` of a run's cf and sup lists at k=10."""
+    return run_cli(
+        "compare", "--run-a", str(run), "--algorithm-a", "cf",
+        "--run-b", str(run), "--algorithm-b", "sup", "--k", "10",
+    )
+
+
 class TestCompare:
     def test_requires_disambiguation_when_ambiguous(self, finished_run):
         proc = run_cli(
@@ -281,6 +299,59 @@ class TestCompare:
         assert f"{broken / location}" in proc.stderr
         assert f"the {algorithm}/{selection} list of user {user!r}" in proc.stderr
         assert "ranks must run 1..n" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("name", ["lists.csv", "hidden.csv"])
+    @pytest.mark.parametrize("case", ["short", "long"])
+    def test_row_with_another_field_count_than_its_header_is_exit_1(
+        self, finished_run, tmp_path, name, case
+    ):
+        """A short hidden.csv row would otherwise read as a hidden item None,
+        and a long row's extra fields would be dropped unseen."""
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        rows = read_csv(broken / name)
+        header, first = rows[:2]
+        if case == "short":
+            del first[-1]
+        else:
+            first.append("extra")
+        write_csv(broken / name, rows)
+        proc = compare_cf_sup(broken)
+        assert proc.returncode == 1, proc.stderr
+        assert f"{broken / name}:2: {len(first)} fields where the header has {len(header)}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_columns_are_found_by_name(self, finished_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        expected = compare_cf_sup(run)
+        assert expected.returncode == 0, expected.stderr
+        for name in ("lists.csv", "hidden.csv"):
+            write_csv(run / name, [row[::-1] for row in read_csv(run / name)])
+        assert (run / "hidden.csv").read_text().startswith("item_id,user_id,fold\n")
+        proc = compare_cf_sup(run)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.stdout
+
+    def test_a_blank_line_keeps_the_physical_line_numbers(self, finished_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        expected = compare_cf_sup(run)
+        assert expected.returncode == 0, expected.stderr
+        lines = (run / "lists.csv").read_text().splitlines(keepends=True)
+        (run / "lists.csv").write_text("".join([*lines[:2], "\n", *lines[2:]]))
+        proc = compare_cf_sup(run)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.stdout
+
+        rows = read_csv(run / "lists.csv")
+        assert rows[2] == [], "line 3 should be the blank one"
+        rows[3][rows[0].index("rank")] = "second"
+        write_csv(run / "lists.csv", rows)
+        proc = compare_cf_sup(run)
+        assert proc.returncode == 1, proc.stderr
+        assert f"{run / 'lists.csv'}:4: rank 'second' is not an integer" in proc.stderr
         assert proc.stdout == ""
 
     def test_no_matching_list_set_reports_zero(self, finished_run):
