@@ -14,6 +14,18 @@ INTERACTION_FORMATS = ("explicit", "implicit")
 IMPLICIT_RATING = 1.0
 
 
+def _checked_rating(user_id: str, item_id: str, rating: float) -> float:
+    """The rules every activity obeys, stated once for ``Interaction`` and the
+    loader: non-empty ids and a finite, non-negative rating, returned as a float."""
+    if not user_id:
+        raise ValueError("user_id must be a non-empty string")
+    if not item_id:
+        raise ValueError("item_id must be a non-empty string")
+    if rating is None or not math.isfinite(rating) or rating < 0:
+        raise ValueError(f"rating must be finite and non-negative, got {rating!r}")
+    return float(rating)
+
+
 @dataclass(frozen=True)
 class Interaction:
     """A single user-item activity; an unrated one counts as ``IMPLICIT_RATING``."""
@@ -23,13 +35,7 @@ class Interaction:
     rating: float = IMPLICIT_RATING
 
     def __post_init__(self):
-        if not self.user_id:
-            raise ValueError("user_id must be a non-empty string")
-        if not self.item_id:
-            raise ValueError("item_id must be a non-empty string")
-        if self.rating is None or not math.isfinite(self.rating) or self.rating < 0:
-            raise ValueError(f"rating must be finite and non-negative, got {self.rating!r}")
-        object.__setattr__(self, "rating", float(self.rating))
+        object.__setattr__(self, "rating", _checked_rating(self.user_id, self.item_id, self.rating))
 
 
 class InteractionDataset:
@@ -50,9 +56,17 @@ class InteractionDataset:
             items[x.item_id] = None
         if not profiles:
             raise EmptyDatasetError("dataset must contain at least one interaction")
+        self._freeze(profiles, items)
+
+    def _freeze(self, profiles: dict[str, dict[str, float]], items: dict[str, None]) -> None:
+        """Adopt ``profiles`` (user -> item -> rating, users in first-appearance
+        order) and ``items``, sorting each profile by item id in place so only
+        one unsorted profile is alive at a time."""
         self.users: tuple[str, ...] = tuple(profiles)
         self.items: tuple[str, ...] = tuple(items)
-        self._profiles = {u: dict(sorted(p.items())) for u, p in profiles.items()}
+        for user, profile in profiles.items():
+            profiles[user] = dict(sorted(profile.items()))
+        self._profiles = profiles
 
     def _without(self, hidden: Mapping[str, frozenset[str]]) -> "InteractionDataset":
         """A shallow copy without each ``hidden`` user's items; untouched rows are shared."""
@@ -87,7 +101,8 @@ class InteractionDataset:
         return user_id in self._profiles
 
 
-def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
+def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, float]:
+    """``(user id, item id, rating)`` of one split row, checked as ``Interaction`` checks it."""
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 tab-separated fields, got {len(fields)}")
     rating = IMPLICIT_RATING
@@ -110,7 +125,7 @@ def _parse_interaction_row(fields: list[str], format: str) -> Interaction:
             int(timestamp[0])
         except ValueError:
             raise ValueError(f"invalid timestamp {timestamp[0]!r}") from None
-    return Interaction(user_id=fields[0], item_id=fields[1], rating=rating)
+    return fields[0], fields[1], _checked_rating(fields[0], fields[1], rating)
 
 
 def _numbered_lines(fh, path):
@@ -128,25 +143,34 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
     Rows are ``user<TAB>item[<TAB>rating[<TAB>timestamp]]`` in the explicit
     format and ``user<TAB>item[<TAB>timestamp]`` in the implicit one; a row
     without a rating, so every implicit row, is recorded with rating 1.0.
-    Lines starting with ``#`` and blank lines are skipped. When a (user,
-    item) pair repeats, the last occurrence wins.
+    Lines starting with ``#`` and blank lines are skipped. Users and items
+    keep first-appearance order; when a (user, item) pair repeats, the last
+    occurrence's rating wins. Each row goes straight into its user's profile,
+    so memory grows with distinct pairs, not with rows.
     """
     if format not in INTERACTION_FORMATS:
         raise ValueError(f"format must be one of {INTERACTION_FORMATS}, got {format!r}")
-    records: dict[tuple[str, str], Interaction] = {}
+    profiles: dict[str, dict[str, float]] = {}
+    items: dict[str, None] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in _numbered_lines(fh, path):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
                 continue
             try:
-                interaction = _parse_interaction_row(line.split("\t"), format)
+                user, item, rating = _parse_interaction_row(line.split("\t"), format)
             except ValueError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
-            records[(interaction.user_id, interaction.item_id)] = interaction
-    if not records:
+            try:
+                profiles[user][item] = rating
+            except KeyError:
+                profiles[user] = {item: rating}
+            items[item] = None
+    if not profiles:
         raise EmptyDatasetError(f"{path}: no interaction records")
-    return InteractionDataset(records.values())
+    ds = InteractionDataset.__new__(InteractionDataset)
+    ds._freeze(profiles, items)
+    return ds
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import math
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 
 from .corpus import InteractionDataset
 from .errors import ColdStartError
@@ -81,7 +82,7 @@ class RecommendationList:
 
     def item_ids(self, k: int | None = None) -> tuple[str, ...]:
         rows = self.entries if k is None else self.entries[:k]
-        return tuple(item_id for item_id, _ in rows)
+        return tuple(map(itemgetter(0), rows))
 
 
 def _top(scores: Mapping[str | int, float], k: int) -> list[tuple[str | int, float]]:

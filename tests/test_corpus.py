@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -137,6 +138,62 @@ class TestLoadInteractions:
             load_interactions(p)
         assert exc.value.line == 3
         assert exc.value.path == str(p)
+
+    @pytest.mark.parametrize(
+        "row, user, item, rating",
+        [
+            ("\ta\t3", "", "a", 3.0),
+            ("u2\t\t3", "u2", "", 3.0),
+            ("u2\ta\t-1", "u2", "a", -1.0),
+            ("u2\ta\tnan", "u2", "a", float("nan")),
+            ("u2\ta\tinf", "u2", "a", float("inf")),
+        ],
+    )
+    def test_invalid_row_carries_the_interaction_message(self, tmp_path, row, user, item, rating):
+        with pytest.raises(ValueError) as expected:
+            Interaction(user, item, rating)
+        p = tmp_path / "r.tsv"
+        p.write_text(f"u1\ta\t3\n# note\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_interactions(p)
+        assert exc.value.line == 3
+        assert str(exc.value) == f"{p}:3: {expected.value}"
+
+    def test_negative_zero_rating_is_accepted(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_text("u1\ta\t-0\n")
+        assert load_interactions(p).profile("u1") == {"a": 0.0}
+
+    def test_first_appearance_order_and_last_rating(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_text("b\ty\na\tx\nb\ty\t5\n")
+        ds = load_interactions(p)
+        assert ds.users == ("b", "a")
+        assert ds.items == ("y", "x")
+        assert ds.profile("b") == {"y": 5.0}
+        assert ds.n_activities == 2
+
+    def test_load_peak_stays_near_what_the_dataset_keeps(self, tmp_path):
+        # 500 users rating 40 of 600 items: ~20k rows, each of them a distinct pair
+        rng = random.Random(5)
+        items = [f"item{j:04d}" for j in range(600)]
+        rows = [
+            f"user{u:04d}\t{i}\t{rng.randint(1, 5)}\t{1_000_000 + u}\n"
+            for u in range(500)
+            for i in rng.sample(items, 40)
+        ]
+        p = tmp_path / "r.tsv"
+        p.write_text("".join(rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ds = load_interactions(p)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_activities == 20_000
+        assert peak - before <= 2 * (kept - before)
 
 
 class TestLoadContent:
