@@ -58,7 +58,7 @@ class InteractionDataset:
             raise EmptyDatasetError("dataset must contain at least one interaction")
         self._freeze(profiles, items)
 
-    def _freeze(self, profiles: dict[str, dict[str, float]], items: dict[str, None]) -> None:
+    def _freeze(self, profiles: dict[str, dict[str, float]], items: Iterable[str]) -> None:
         """Adopt ``profiles`` (user -> item -> rating, users in first-appearance
         order) and ``items``, sorting each profile by item id in place so only
         one unsorted profile is alive at a time."""
@@ -151,7 +151,7 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
     if format not in INTERACTION_FORMATS:
         raise ValueError(f"format must be one of {INTERACTION_FORMATS}, got {format!r}")
     profiles: dict[str, dict[str, float]] = {}
-    items: dict[str, None] = {}
+    items: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in _numbered_lines(fh, path):
             line = raw.rstrip("\r\n")
@@ -161,11 +161,12 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
                 user, item, rating = _parse_interaction_row(line.split("\t"), format)
             except ValueError as exc:
                 raise ParseError(str(exc), path=str(path), line=lineno) from None
+            # every profile keys the item by the one id string that items holds
+            item = items.setdefault(item, item)
             try:
                 profiles[user][item] = rating
             except KeyError:
                 profiles[user] = {item: rating}
-            items[item] = None
     if not profiles:
         raise EmptyDatasetError(f"{path}: no interaction records")
     ds = InteractionDataset.__new__(InteractionDataset)

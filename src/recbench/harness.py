@@ -572,8 +572,8 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
         (
             (*key, user_id, rank, item_id, score)
             for key, lists in sorted(result.lists.items())
-            for user_id in sorted(lists)
-            for rank, (item_id, score) in enumerate(lists[user_id].entries, start=1)
+            for user_id, lst in sorted(lists.items())
+            for rank, (item_id, score) in enumerate(zip(lst.item_ids(), lst.scores), start=1)
         ),
     )
     _write_csv(
@@ -661,7 +661,7 @@ def read_run_lists(run_dir):
                         f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
                     )
             try:
-                # __post_init__ builds the entries tuple from the pairs, once
+                # the constructor reads the pairs once into its id and score columns
                 lists[key][user_id] = RecommendationList(
                     user_id=user_id,
                     entries=((item_id, score) for _, item_id, score, _ in rows),

@@ -74,7 +74,7 @@ def average_precision_at_k(recs: RecommendationList, hidden: AbstractSet[str], k
         raise UndefinedMetricError("hidden set is empty")
     hits = 0
     total = 0.0
-    for rank, (item_id, _) in enumerate(recs.entries[:k], start=1):
+    for rank, item_id in enumerate(recs.item_ids(k), start=1):
         if item_id in hidden:
             hits += 1
             total += hits / rank

@@ -12,10 +12,11 @@ omit zero-score candidates (a list may therefore be shorter than requested).
 
 import heapq
 import math
-from collections.abc import Callable, Iterator, Mapping
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import islice
-from operator import itemgetter
+from operator import gt
 
 from .corpus import InteractionDataset
 from .errors import ColdStartError
@@ -47,42 +48,84 @@ class UserProfile:
         return cls(user_id=user_id, items=train.profile(user_id))
 
 
-@dataclass(frozen=True)
 class RecommendationList:
     """A ranked list of ``(item_id, score)`` pairs for one user.
 
-    ``target_k`` is the requested length; ``entries`` may be shorter when
-    too few candidates score above zero.
+    ``target_k`` is the requested length; the list may be shorter when too
+    few candidates score above zero. It is built from an iterable of pairs
+    but stores them as two columns: the item ids in one tuple and the
+    scores, each passed through ``float()``, in one ``array("d")``, which
+    holds every double exactly at 8 bytes and no float object per entry.
+    ``item_ids(k)`` slices the ids tuple; ``scores`` and ``entries`` (the
+    pairs) are tuples built on each read. The list is immutable, and
+    equality, hashing and ``repr`` go by content.
     """
 
-    user_id: str
-    entries: tuple[tuple[str, float], ...]
-    target_k: int
+    __slots__ = ("user_id", "target_k", "_ids", "_scores")
 
-    def __post_init__(self):
-        if not self.user_id:
+    def __init__(self, user_id: str, entries: Iterable[tuple[str, float]], target_k: int):
+        if not user_id:
             raise ValueError("user_id must be a non-empty string")
-        if self.target_k < 1:
+        if target_k < 1:
             raise ValueError("target_k must be >= 1")
-        entries = tuple((item_id, float(score)) for item_id, score in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) > self.target_k:
-            raise ValueError(f"{len(entries)} entries exceed target_k={self.target_k}")
-        seen = set()
-        for item_id, _ in entries:
-            if item_id in seen:
-                raise ValueError(f"duplicate item {item_id!r} in recommendation list")
-            seen.add(item_id)
-        for (_, a), (_, b) in zip(entries, entries[1:]):
-            if b > a:
-                raise ValueError("scores must be non-increasing")
+        ids, scores = [], []
+        for item_id, score in entries:
+            ids.append(item_id)
+            scores.append(float(score))
+        if len(ids) > target_k:
+            raise ValueError(f"{len(ids)} entries exceed target_k={target_k}")
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for item_id in ids:
+                if item_id in seen:
+                    raise ValueError(f"duplicate item {item_id!r} in recommendation list")
+                seen.add(item_id)
+        if any(map(gt, islice(scores, 1, None), scores)):
+            raise ValueError("scores must be non-increasing")
+        object.__setattr__(self, "user_id", user_id)
+        object.__setattr__(self, "target_k", target_k)
+        object.__setattr__(self, "_ids", tuple(ids))
+        object.__setattr__(self, "_scores", array("d", scores))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.user_id, self.entries, self.target_k)
+
+    def _key(self):
+        return self.user_id, self._ids, tuple(self._scores), self.target_k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(user_id={self.user_id!r}, "
+            f"entries={self.entries!r}, target_k={self.target_k!r})"
+        )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self._ids, self._scores))
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        return tuple(self._scores)
 
     def item_ids(self, k: int | None = None) -> tuple[str, ...]:
-        rows = self.entries if k is None else self.entries[:k]
-        return tuple(map(itemgetter(0), rows))
+        return self._ids if k is None else self._ids[:k]
 
 
 def _top(scores: Mapping[str | int, float], k: int) -> list[tuple[str | int, float]]:

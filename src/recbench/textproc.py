@@ -219,7 +219,9 @@ def build_index(
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
     index_of = vocab._index
     vectors: dict[str, SparseVector] = {}
-    for item_id, counts in counts_by_item.items():
+    for item_id in list(counts_by_item):
+        # each document's counts go once its vector is built
+        counts = counts_by_item.pop(item_id)
         entries: dict[int, float] = {}
         for t in sorted(counts):
             i = index_of.get(t)

@@ -173,6 +173,15 @@ class TestLoadInteractions:
         assert ds.profile("b") == {"y": 5.0}
         assert ds.n_activities == 2
 
+    def test_profiles_key_items_by_the_dataset_item_ids(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_text("u1\titem1\t4\nu2\titem1\t3\nu2\titem2\t5\nu1\titem2\t1\n")
+        ds = load_interactions(p)
+        item_ids = {item: item for item in ds.items}
+        for user in ds.users:
+            for item in ds.profile(user):
+                assert item is item_ids[item]
+
     def test_load_peak_stays_near_what_the_dataset_keeps(self, tmp_path):
         # 500 users rating 40 of 600 items: ~20k rows, each of them a distinct pair
         rng = random.Random(5)

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -62,6 +64,51 @@ class TestRecommendationList:
         assert lst.item_ids(2) == ("a", "b")
         assert lst.item_ids() == ("a", "b", "c")
         assert len(lst) == 3
+
+    def test_entries_cost_under_32_bytes_each(self):
+        ids = [f"item{n:03d}" for n in range(100)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lists = [
+                RecommendationList("u", ((item, (1000 - n + j) / 7) for n, item in enumerate(ids)), 100)
+                for j in range(1000)
+            ]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, lists)) == 100_000
+        assert kept - before < 32 * 100_000
+
+    def test_entries_pair_item_ids_with_scores(self):
+        lst = RecommendationList("u", (("a", 3), ("b", 2.5), ("c", 2.5)), target_k=5)
+        assert lst.entries == tuple(zip(lst.item_ids(), lst.scores))
+        assert lst.entries == (("a", 3.0), ("b", 2.5), ("c", 2.5))
+        assert all(type(score) is float for score in lst.scores)
+
+    def test_scores_round_trip_exactly(self):
+        lst = RecommendationList("u", (("a", 1 / 3), ("b", -0.0)), target_k=5)
+        assert [s.hex() for s in lst.scores] == [(1 / 3).hex(), (-0.0).hex()]
+        assert [s.hex() for _, s in lst.entries] == [(1 / 3).hex(), (-0.0).hex()]
+
+    def test_equal_content_is_equal_with_equal_hashes(self):
+        a = RecommendationList("u", [("a", 2.0), ("b", 1.0)], target_k=5)
+        b = RecommendationList("u", iter((("a", 2), ("b", 1))), target_k=5)
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert repr(a) == "RecommendationList(user_id='u', entries=(('a', 2.0), ('b', 1.0)), target_k=5)"
+        assert a != RecommendationList("u", [("a", 2.0), ("b", 0.5)], target_k=5)
+        assert a != RecommendationList("u", [("a", 2.0), ("b", 1.0)], target_k=6)
+        assert a != RecommendationList("v", [("a", 2.0), ("b", 1.0)], target_k=5)
+
+    def test_list_is_immutable(self):
+        lst = RecommendationList("u", (("a", 1.0),), target_k=5)
+        for name in ("user_id", "target_k", "entries", "scores", "_ids", "_scores", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lst, name, None)
+        with pytest.raises(AttributeError):
+            del lst.user_id
+        assert lst.entries == (("a", 1.0),)
 
 
 def close(a, b):

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -148,6 +150,27 @@ class TestBuildIndex:
         red = index.vocabulary.index_of("red")
         assert index.postings(red) == (("d1", 2 * math.log(3 / 2)), ("d2", math.log(3 / 2)))
         assert index.postings(len(index.vocabulary)) == ()
+
+    def test_index_peak_stays_near_what_the_index_keeps(self):
+        # 2,000 documents of 20 words, each drawn from its topic's 30 words
+        rng = random.Random(5)
+        corpus = ContentCorpus(
+            ItemDocument(
+                f"d{d:04d}",
+                {"text": " ".join(f"w{d % 50}x{rng.randrange(30)}" for _ in range(20))},
+            )
+            for d in range(2000)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            index = build_index(corpus, ("text",))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 2000
+        assert peak - before <= 1.5 * (kept - before)
 
     def test_empty_item_ids(self):
         corpus = ContentCorpus(
