@@ -9,8 +9,9 @@ import logging
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import combinations
-from operator import attrgetter, itemgetter
+from functools import reduce
+from itertools import combinations, groupby
+from operator import add, attrgetter, itemgetter
 from pathlib import Path
 
 from .corpus import (
@@ -52,11 +53,19 @@ class ExperimentConfig:
     @classmethod
     def read_json(cls, path) -> tuple[dict, list[str]]:
         """Read the configuration file ``path``: return its known fields and
-        one problem per unknown key. Invalid JSON or UTF-8 and a value that
-        is not an object raise a located error."""
+        one problem per key repeated within an object, at any depth, and per
+        unknown key. Invalid JSON or UTF-8 and a value that is not an object
+        raise a located error."""
+        problems: list[str] = []
+
+        def unique_keys(pairs):
+            keys = [key for key, _ in pairs]
+            problems.extend(f"repeated config key {k!r}" for n, k in enumerate(keys) if k in keys[:n])
+            return dict(pairs)
+
         with open(path, encoding="utf-8") as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from None
             except UnicodeDecodeError:
@@ -64,17 +73,18 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
-        unknown = [f"unknown config key {key!r}" for key in sorted(set(raw) - known)]
-        return {key: value for key, value in raw.items() if key in known}, unknown
+        problems += [f"unknown config key {key!r}" for key in sorted(set(raw) - known)]
+        return {key: value for key, value in raw.items() if key in known}, problems
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        """Load and validate a configuration file."""
+        """Load and validate a configuration file; one error lists every
+        problem of the file and of its fields."""
         raw, problems = cls.read_json(path)
+        config = cls(**raw)
+        problems += config._missing_files() + config.problems()
         if problems:
             raise ConfigurationError(problems)
-        config = cls(**raw)
-        config.validate()
         return config
 
     def validate(self) -> None:
@@ -282,14 +292,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
        (``sup``, ``upa``) once, and produce its lists for every fold. The
        index, and the ``sup`` neighbour table built on it, are dropped
        before the next selection's index is built.
-    3. Per fold: record quality and coverage metrics per (algorithm,
-       selection, k); when several algorithms run, also compare their
-       lists pairwise per selection (list-overlap records and run-level
-       hit intersections).
+    3. Per list set of each fold, and per k: record quality and coverage
+       metrics. Per pair of algorithms under one report label, and per k:
+       record each fold's list overlap and sum the folds' hit intersections.
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
-    # in name order, so a pair's records are named "<a>_x_<b>" with a < b
     algorithms = [
         (ALGORITHMS[name], params) for name, params in sorted(config.resolved_algorithms().items())
     ]
@@ -350,40 +358,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         log.info("selection %s done", label)
 
     records: list[ReportRecord] = []
-    inter_counts: dict[tuple[str, str, str, int], list[int]] = {}
-    for fold in range(config.fold_count):
-        hidden = hidden_store[fold]
-        for key in sorted(key for key in lists_store if key[2] == fold):
-            algorithm, label, _ = key
-            lists = lists_store[key]
+    for (algorithm, label, fold), lists in lists_store.items():
+        for k in config.k_values:
+            report = evaluate(EvalInput(lists=lists, hidden=hidden_store[fold], catalog=catalog_set, k=k))
+            records += (
+                ReportRecord(algorithm, label, fold, k, "map", report.map_at_k),
+                ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty),
+                ReportRecord(algorithm, label, fold, k, "ucov", report.ucov_at_k),
+                ReportRecord(algorithm, label, fold, k, "ccov", report.ccov_at_k),
+            )
+
+    intersections: list[IntersectionRecord] = []
+    for label, keys in list_sets.items():
+        for (name_a, label_a), (name_b, label_b) in combinations(keys, 2):
+            pair = f"{name_a}_x_{name_b}"
             for k in config.k_values:
-                report = evaluate(EvalInput(lists=lists, hidden=hidden, catalog=catalog_set, k=k))
-                for metric, value in (
-                    ("map", report.map_at_k),
-                    ("map_nonempty", report.map_at_k_nonempty),
-                    ("ucov", report.ucov_at_k),
-                    ("ccov", report.ccov_at_k),
-                ):
-                    records.append(ReportRecord(algorithm, label, fold, k, metric, value))
-
-        if len(algorithms) >= 2:
-            for label, keys in list_sets.items():
-                available = [(name, lists_store[(name, list_label, fold)]) for name, list_label in keys]
-                for (name_a, lists_a), (name_b, lists_b) in combinations(available, 2):
-                    pair = f"{name_a}_x_{name_b}"
-                    for k in config.k_values:
-                        overlap = jaccard_list_similarity(lists_a, lists_b, k)
-                        records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
-                        report = hit_intersection(lists_a, lists_b, hidden, k)
-                        acc = inter_counts.setdefault((name_a, name_b, label, k), [0, 0, 0])
-                        acc[0] += report.exclusive_a
-                        acc[1] += report.exclusive_b
-                        acc[2] += report.common
-
-    intersections = [
-        IntersectionRecord(a, b, label, k, counts[0], counts[1], counts[2])
-        for (a, b, label, k), counts in sorted(inter_counts.items())
-    ]
+                exclusive_a = exclusive_b = common = 0
+                for fold, hidden in hidden_store.items():
+                    lists_a = lists_store[(name_a, label_a, fold)]
+                    lists_b = lists_store[(name_b, label_b, fold)]
+                    overlap = jaccard_list_similarity(lists_a, lists_b, k)
+                    records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
+                    report = hit_intersection(lists_a, lists_b, hidden, k)
+                    exclusive_a += report.exclusive_a
+                    exclusive_b += report.exclusive_b
+                    common += report.common
+                intersections.append(
+                    IntersectionRecord(name_a, name_b, label, k, exclusive_a, exclusive_b, common)
+                )
+    intersections.sort(key=attrgetter("algorithm_a", "algorithm_b", "attribute_selection", "k"))
     return ExperimentResult(
         records=records,
         intersections=intersections,
@@ -446,27 +449,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _sorted_records(records) -> list[ReportRecord]:
-    return sorted(
-        records, key=lambda r: (r.algorithm, r.attribute_selection, r.fold, r.k, r.metric)
-    )
-
-
-def emit_report(records, path, format: str = "csv") -> None:
-    """Write metric records to ``path`` as CSV or JSON in a fixed row order
-    (algorithm, selection, fold, k, metric)."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    rows = _sorted_records(records)
-    if not rows:
-        raise ValueError("no records to emit")
-    columns = [f.name for f in fields(ReportRecord)]
-    if format == "csv":
-        _write_csv(path, columns, map(attrgetter(*columns), rows))
-    else:
-        payload = [{name: getattr(r, name) for name in columns} for r in rows]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    return sorted(records, key=attrgetter("algorithm", "attribute_selection", "fold", "k", "metric"))
 
 
 def _pstdev(values: Sequence[float]) -> float:
@@ -488,78 +471,66 @@ def _pstdev(values: Sequence[float]) -> float:
 
 def summarize(records) -> list[tuple[str, str, int, str, float, float]]:
     """Cross-fold aggregation: mean and population standard deviation of the
-    fold values for every (algorithm, selection, k, metric)."""
+    fold values for every (algorithm, selection, k, metric), in that order.
+    The mean sums each cell's values in the order given, which is fold order
+    for records sorted as ``records.csv`` lists them."""
     groups: dict[tuple[str, str, int, str], list[float]] = {}
-    for r in _sorted_records(records):
+    for r in records:
         groups.setdefault((r.algorithm, r.attribute_selection, r.k, r.metric), []).append(r.value)
     out = []
     for (algorithm, label, k, metric), values in sorted(groups.items()):
         # left to right: sum() compensates its rounding on Python >= 3.12
-        total = 0.0
-        for value in values:
-            total += value
-        out.append((algorithm, label, k, metric, total / len(values), _pstdev(values)))
+        mean = reduce(add, values, 0.0) / len(values)
+        out.append((algorithm, label, k, metric, mean, _pstdev(values)))
     return out
 
 
-def emit_plot_data(records, path, intersections=()) -> None:
+def _write_plot_data(path, summary, intersections) -> None:
     """Write chartable series: one ``k,value`` block per (algorithm,
-    selection, metric) holding cross-fold means, plus three blocks
-    (exclusive_a / exclusive_b / common) per intersection pair.
-
-    Requires records spanning at least two k values; nothing is written
-    when validation fails.
-    """
-    rows = list(records)
-    if not rows:
-        raise ValueError("no records to plot")
-    if len({r.k for r in rows}) < 2:
-        raise ConfigurationError("plot data needs records at two or more k values")
-    series: dict[tuple[str, str, str], list[tuple[int, float]]] = {}
-    for algorithm, label, k, metric, mean, _ in summarize(rows):
-        series.setdefault((algorithm, label, metric), []).append((k, mean))
-    inter_series: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
-    for rec in intersections:
-        pair = f"{rec.algorithm_a}_x_{rec.algorithm_b}"
-        for metric in ("exclusive_a", "exclusive_b", "common"):
-            inter_series.setdefault((pair, rec.attribute_selection, metric), []).append(
-                (rec.k, getattr(rec, metric))
-            )
+    selection, metric) of ``summary`` holding the cross-fold means, then
+    three blocks (exclusive_a / exclusive_b / common) per intersection pair
+    and selection."""
+    means = [((algorithm, label, metric), k, mean) for algorithm, label, k, metric, mean, _ in summary]
+    counts = [
+        ((f"{r.algorithm_a}_x_{r.algorithm_b}", r.attribute_selection, metric), r.k, getattr(r, metric))
+        for r in intersections
+        for metric in ("exclusive_a", "exclusive_b", "common")
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(series) + sorted(inter_series):
-            algorithm, label, metric = key
-            points = series.get(key) or inter_series.get(key)
-            fh.write(f"# series algorithm={algorithm} attribute_selection={label} metric={metric}\n")
-            fh.write("k,value\n")
-            for k, value in sorted(points):
-                fh.write(f"{k},{value!r}\n")
-            fh.write("\n")
+        for points in (means, counts):
+            for (algorithm, label, metric), block in groupby(sorted(points), key=itemgetter(0)):
+                fh.write(f"# series algorithm={algorithm} attribute_selection={label} metric={metric}\n")
+                fh.writelines(["k,value\n", *(f"{k},{value!r}\n" for _, k, value in block), "\n"])
 
 
 def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -> list[str]:
     """Write every artifact of a run into ``out_dir``; returns file names.
 
-    Emits per-fold records (CSV and JSON), the cross-fold summary, hit
-    intersections, plot series (when two or more k values were configured),
-    the full ranked lists, the hidden sets, and an echo of the
-    configuration.
+    Writes the per-fold records (CSV and JSON, in (algorithm, selection,
+    fold, k, metric) order), the cross-fold summary, hit intersections, plot
+    series (when two or more k values were configured), the full ranked
+    lists, the hidden sets, and an echo of the configuration.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = ["records.csv", "records.json", "summary.csv", "intersections.csv"]
 
-    emit_report(result.records, out / "records.csv", "csv")
-    emit_report(result.records, out / "records.json", "json")
-    written += ["records.csv", "records.json"]
+    records = _sorted_records(result.records)
+    columns = [f.name for f in fields(ReportRecord)]
+    rows = list(map(attrgetter(*columns), records))
+    _write_csv(out / "records.csv", columns, rows)
+    with open(out / "records.json", "w", encoding="utf-8", newline="") as fh:
+        json.dump([dict(zip(columns, row)) for row in rows], fh, indent=2)
+        fh.write("\n")
 
+    summary = summarize(records)
     header = ["algorithm", "attribute_selection", "k", "metric", "mean", "std"]
-    _write_csv(out / "summary.csv", header, summarize(result.records))
+    _write_csv(out / "summary.csv", header, summary)
     columns = [f.name for f in fields(IntersectionRecord)]
     _write_csv(out / "intersections.csv", columns, map(attrgetter(*columns), result.intersections))
-    written += ["summary.csv", "intersections.csv"]
 
-    if len({r.k for r in result.records}) >= 2:
-        emit_plot_data(result.records, out / "plot_data.csv", result.intersections)
+    if len({r.k for r in records}) >= 2:
+        _write_plot_data(out / "plot_data.csv", summary, result.intersections)
         written.append("plot_data.csv")
     else:
         # a reused directory may still hold an earlier run's plot series
@@ -586,13 +557,11 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
             for item_id in sorted(per_user[user_id])
         ),
     )
-    written += ["lists.csv", "hidden.csv"]
 
     with open(out / "config.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append("config.json")
-    return written
+    return written + ["lists.csv", "hidden.csv", "config.json"]
 
 
 def read_run_lists(run_dir):

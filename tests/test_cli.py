@@ -119,6 +119,21 @@ class TestRun:
         assert "interactions_path" in proc.stderr
         assert "k_values" in proc.stderr
 
+    def test_repeated_config_key_is_exit_1(self, workspace, tmp_path):
+        """A JSON parser keeps the last of two equal keys, so a repeated key
+        would run with one of its values silently; it is listed with the
+        file's other problems instead."""
+        _, _, config_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(config_path.read_text()[:-1] + ', "fold_count": 3, "k_values": [0]}')
+        proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: repeated config key 'fold_count'; repeated config key 'k_values'; "
+            "k_values must be positive integers, got [0]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_exit_1(self, tmp_path):
         proc = run_cli("run", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path))
         assert proc.returncode == 1
@@ -463,6 +478,15 @@ class TestCompare:
         assert proc.returncode == 1, proc.stderr
         assert f"{broken / location}" in proc.stderr
         assert fragment in proc.stderr
+
+    def test_repeated_key_in_a_runs_config_is_exit_1(self, finished_run, tmp_path):
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        text = (broken / "config.json").read_text()
+        (broken / "config.json").write_text(text.replace("{", '{\n  "rng_seed": 9,', 1))
+        proc = compare_cf_sup(broken)
+        assert proc.returncode == 1
+        assert f"{broken / 'config.json'}: repeated config key 'rng_seed'" in proc.stderr
 
     def test_one_run_named_twice_is_read_once(self, finished_run, tmp_path, monkeypatch, capsys):
         reads = []

@@ -14,8 +14,6 @@ from recbench import (
     IntersectionRecord,
     RecommendationList,
     ReportRecord,
-    emit_plot_data,
-    emit_report,
     read_run_lists,
     run_experiment,
     selection_label,
@@ -75,6 +73,21 @@ class TestConfig:
         p.write_text('{"interaction_path": "x.tsv"}')
         with pytest.raises(ConfigurationError, match="interaction_path"):
             ExperimentConfig.from_json(p)
+
+    def test_repeated_keys_rejected_at_any_depth(self, paths, tmp_path):
+        p = tmp_path / "config.json"
+        p.write_text(
+            '{"interactions_path": %s, "fold_count": 10, "fold_count": 3,'
+            ' "algorithms": {"cf": {}, "cf": {"neighborhood_size": 5, "neighborhood_size": 6}}}'
+            % json.dumps(paths[0])
+        )
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig.from_json(p)
+        assert exc.value.problems == [
+            "repeated config key 'neighborhood_size'",
+            "repeated config key 'cf'",
+            "repeated config key 'fold_count'",
+        ]
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "config.json"
@@ -245,9 +258,21 @@ class TestEmitters:
             ReportRecord("cf", "-", f, 20, "map", 0.3 + 0.2 * f) for f in range(2)
         ]
 
+    @staticmethod
+    def write(records, out, intersections=()):
+        """Write a run directory holding ``records`` (shuffled, as a run may
+        hand them over) and ``intersections``, and no lists."""
+        records = list(records)
+        random.Random(5).shuffle(records)
+        result = ExperimentResult(
+            records=records, intersections=list(intersections), lists={}, hidden={}, catalog=()
+        )
+        cfg = ExperimentConfig(interactions_path="unused.tsv", algorithms={"cf": {}}, k_values=[10, 20])
+        write_run_dir(result, cfg, out)
+        return out
+
     def test_csv_report_round_trips_floats(self, records, tmp_path):
-        p = tmp_path / "records.csv"
-        emit_report(records, p, "csv")
+        p = self.write(records, tmp_path / "run") / "records.csv"
         with open(p, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
@@ -259,19 +284,13 @@ class TestEmitters:
         ]
 
     def test_json_report(self, records, tmp_path):
-        p = tmp_path / "records.json"
-        emit_report(records, p, "json")
+        p = self.write(records, tmp_path / "run") / "records.json"
         payload = json.loads(p.read_text())
-        assert payload[0]["algorithm"] == "cf"
-        assert payload[0]["value"] == 0.2
-
-    def test_empty_records_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path / "r.csv")
-
-    def test_bad_format_rejected(self, records, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(records, tmp_path / "r.xml", "xml")
+        assert payload[0] == {
+            "algorithm": "cf", "attribute_selection": "-", "fold": 0, "k": 10, "metric": "map", "value": 0.2
+        }
+        assert [(r["fold"], r["k"]) for r in payload] == [(0, 10), (0, 20), (1, 10), (1, 20)]
+        assert payload[2]["value"] == 0.2 + 0.2
 
     def test_summarize_means_and_population_std(self, records):
         rows = summarize(records)
@@ -303,17 +322,10 @@ class TestEmitters:
             IntersectionRecord("cf", "sup", "all", 10, 3, 4, 5),
             IntersectionRecord("cf", "sup", "all", 20, 6, 7, 8),
         ]
-        p = tmp_path / "plot.csv"
-        emit_plot_data(records, p, inter)
-        text = p.read_text()
+        text = (self.write(records, tmp_path / "run", inter) / "plot_data.csv").read_text()
         assert "# series algorithm=cf attribute_selection=- metric=map" in text
         assert "# series algorithm=cf_x_sup attribute_selection=all metric=common" in text
         assert "10,5\n20,8" in text
-
-    def test_plot_data_needs_two_ks(self, tmp_path):
-        only_one = [ReportRecord("cf", "-", 0, 10, "map", 0.5)]
-        with pytest.raises(ConfigurationError):
-            emit_plot_data(only_one, tmp_path / "plot.csv")
 
 
 class TestRunDir:
