@@ -317,18 +317,19 @@ class SUPModel:
     """Content model where profile items vote for their nearest items.
 
     The model owns a neighbour table that is empty after fitting and fills
-    on demand: for each voter item it keeps the item's unfiltered ranking
-    from ``top_k_similar`` (the item itself included) and the depth that
-    ranking was asked for. The index depends on neither the user nor the
-    fold, so one fitted model serves every user of every fold, and a voter
-    item shared by many profiles is ranked once. A fill that loses a race
-    with a concurrent one stores an equally exact ranking, so concurrent
-    queries stay correct.
+    on demand: for each voter item it keeps the depth a ranking was asked
+    for and the item's unfiltered ranking from ``top_k_similar`` (the item
+    itself included), stored like a ``RecommendationList``: the item ids in
+    one tuple and the scores in one ``array("d")``. The index depends on
+    neither the user nor the fold, so one fitted model serves every user of
+    every fold, and a voter item shared by many profiles is ranked once. A
+    fill that loses a race with a concurrent one stores an equally exact
+    ranking, so concurrent queries stay correct.
     """
 
     index: DocumentIndex
     votes_per_item: int
-    _neighbors: dict[str, tuple[int, list[tuple[str, float]]]] = field(
+    _neighbors: dict[str, tuple[int, tuple[str, ...], array]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -336,23 +337,26 @@ class SUPModel:
         if self.votes_per_item < 1:
             raise ValueError("votes_per_item must be >= 1")
 
-    def neighbors(self, item_id: str, depth: int) -> list[tuple[str, float]]:
-        """The indexed item's most similar items, the item itself included.
+    def neighbors(self, item_id: str, depth: int) -> Iterator[tuple[str, float]]:
+        """Yield the indexed item's most similar items as ``(item_id, score)``
+        pairs, best first, the item itself included.
 
-        Holds the top ``depth`` items, or every positively scored item when
-        fewer exist. A cached ranking is reused when it was asked for at
-        least ``depth`` items or came back shorter than it was asked for
-        (it is then complete); a full but shallower one is recomputed at
-        ``depth``.
+        Yields the top ``depth`` items, or every positively scored item when
+        fewer exist, and may yield more when a deeper ranking is cached. A
+        cached ranking is reused when it was asked for at least ``depth``
+        items or came back shorter than it was asked for (it is then
+        complete); a full but shallower one is recomputed at ``depth``.
         """
         cached = self._neighbors.get(item_id)
         if cached is not None:
-            cached_depth, ranking = cached
-            if cached_depth >= depth or len(ranking) < cached_depth:
-                return ranking
+            cached_depth, ids, scores = cached
+            if cached_depth >= depth or len(ids) < cached_depth:
+                return zip(ids, scores)
         ranking = top_k_similar(self.index, self.index.vector(item_id), depth)
-        self._neighbors[item_id] = (depth, ranking)
-        return ranking
+        ids = tuple(item for item, _ in ranking)
+        scores = array("d", (score for _, score in ranking))
+        self._neighbors[item_id] = (depth, ids, scores)
+        return zip(ids, scores)
 
 
 def fit_sup(index: DocumentIndex, votes_per_item: int = DEFAULT_VOTES_PER_ITEM) -> SUPModel:

@@ -8,6 +8,7 @@ computes them.
 import heapq
 import math
 import re
+from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
@@ -81,10 +82,14 @@ class Vocabulary:
         return self._index.get(term)
 
 
-@dataclass
+@dataclass(slots=True)
 class SparseVector:
     """Non-zero, finite, non-negative weights keyed by vocabulary term index,
-    held in ascending term-index order whatever order they were given in."""
+    held in ascending term-index order whatever order they were given in.
+
+    Slotted: no instance dict. ``slots=True`` returns a new class, so its
+    methods must not call ``super()`` without arguments.
+    """
 
     entries: dict[int, float]
 
@@ -115,8 +120,11 @@ class DocumentIndex:
     """TF-IDF vectors for a document collection plus retrieval structures.
 
     Holds one vector per item (possibly empty), per-item norms, and an
-    inverted index from term index to the items carrying that term.
-    Immutable once constructed; safe to query concurrently.
+    inverted index from term index to the items carrying that term: per
+    term, a tuple of item ids in index order and, beside it, an
+    ``array("d")`` of each item's weight over its norm, 8 bytes a posting
+    with no float object. Immutable once constructed; safe to query
+    concurrently.
     """
 
     def __init__(self, vocabulary: Vocabulary, vectors: Mapping[str, SparseVector]):
@@ -128,17 +136,16 @@ class DocumentIndex:
                 if not 0 <= t < n_terms:
                     raise ValueError(f"vector for {item_id!r} uses term index {t} outside the vocabulary")
         self._norms = {item_id: vec.norm() for item_id, vec in self.vectors.items()}
-        # per term, two parallel tuples in index order: the items carrying it
-        # and their weights over the item's norm, whose largest is the
-        # term's bound
-        columns: dict[int, tuple[list[str], list[float]]] = defaultdict(lambda: ([], []))
+        # per term, the items carrying it and their weights over the item's
+        # norm, in index order; the largest weight is the term's bound
+        columns: dict[int, tuple[list[str], array]] = defaultdict(lambda: ([], array("d")))
         for item_id, vec in self.vectors.items():
             norm = self._norms[item_id]
             for t, w in vec.entries.items():
                 ids, scaled = columns[t]
                 ids.append(item_id)
                 scaled.append(w / norm)
-        self._postings = {t: (tuple(ids), tuple(scaled)) for t, (ids, scaled) in columns.items()}
+        self._postings = {t: (tuple(ids), scaled) for t, (ids, scaled) in columns.items()}
         self._bounds = {t: max(scaled) for t, (_, scaled) in self._postings.items()}
 
     def __len__(self) -> int:
@@ -197,7 +204,9 @@ def build_index(
     survive in only one document are discarded. A retained term's weight in
     a document is its raw in-document count times ``ln(n_docs / df)``; no
     vector length normalization is applied, so weights of exactly zero
-    (terms present in every document) are simply not stored.
+    (terms present in every document) are simply not stored. The weight is
+    computed once per (term, count), and every document with that count of
+    the term holds the same float object.
     """
     selection = check_selection(corpus, attribute_selection)
 
@@ -213,11 +222,13 @@ def build_index(
     terms = tuple(sorted(t for t, d in df.items() if d >= 2))
     if not terms:
         raise ConfigurationError(
-            "vocabulary is empty after stopword and single-document term removal"
+            f"selection {'+'.join(selection)}: vocabulary is empty after stopword"
+            " and single-document term removal"
         )
     n_docs = len(corpus)
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
     index_of = vocab._index
+    weights: dict[tuple[int, int], float] = {}
     vectors: dict[str, SparseVector] = {}
     for item_id in list(counts_by_item):
         # each document's counts go once its vector is built
@@ -227,7 +238,9 @@ def build_index(
             i = index_of.get(t)
             if i is None:
                 continue
-            w = counts[t] * math.log(n_docs / df[t])
+            w = weights.get((i, counts[t]))
+            if w is None:
+                w = weights[i, counts[t]] = counts[t] * math.log(n_docs / df[t])
             if w != 0.0:
                 entries[i] = w
         vectors[item_id] = SparseVector(entries)

@@ -22,6 +22,8 @@ from recbench import (
 )
 from recbench import harness
 
+import synth
+
 
 def small_fixture(tmp_path, n_users=30, n_items=60, profile_size=24):
     """Write a compact explicit dataset plus matching content to disk."""
@@ -223,6 +225,20 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "materialize_split", no_split)
         cfg = make_config(paths, attribute_selections=["all", ["nope"]])
         with pytest.raises(ConfigurationError, match="'nope' does not occur"):
+            run_experiment(cfg)
+
+    def test_empty_vocabulary_names_the_selection(self, tmp_path):
+        # every protocol_fixture title is a term of its own document only
+        data = synth.protocol_fixture()
+        data.write_interactions(tmp_path / "interactions.tsv")
+        data.write_content(tmp_path / "content.jsonl")
+        cfg = make_config(
+            (str(tmp_path / "interactions.tsv"), str(tmp_path / "content.jsonl")),
+            algorithms={"sup": {}},
+            attribute_selections=["all", ["title"]],
+            fold_count=3,
+        )
+        with pytest.raises(ConfigurationError, match=r"selection title: vocabulary is empty"):
             run_experiment(cfg)
 
     def test_attribute_selections_run_separately(self, paths):

@@ -24,6 +24,7 @@ from recbench import (
     recommend_cf,
     recommend_sup,
     recommend_upa,
+    top_k_similar,
 )
 from recbench import recommenders
 
@@ -523,3 +524,33 @@ class TestNeighborTable:
         uses = sum(1 for p in profiles for i in p.items if i in voters)
         assert uses > 5 * len(voters)  # voters really are shared across users and folds
         assert calls == dict.fromkeys(voters, 1)
+
+    def test_table_pairs_equal_a_ranking_bit_for_bit_on_every_path(self, monkeypatch):
+        corpus = ContentCorpus(
+            [
+                *(ItemDocument(f"h{n}", {"text": " ".join(["aa"] * (1 + n % 3) + ["bb"] * (n % 2))})
+                  for n in range(8)),
+                ItemDocument("z0", {"text": "zz"}),
+                ItemDocument("z1", {"text": "zz yy yy"}),
+                ItemDocument("y0", {"text": "yy"}),
+            ]
+        )
+        index = build_index(corpus, ("text",))
+        calls = _count_top_k_calls(monkeypatch, index)
+        model = fit_sup(index)
+
+        def read(item_id, depth, ranked_at):
+            """Read the table at ``depth``; it must hold the ranking asked for at ``ranked_at``."""
+            got = [(i, s.hex()) for i, s in model.neighbors(item_id, depth)]
+            want = top_k_similar(index, index.vector(item_id), ranked_at)
+            assert got == [(i, s.hex()) for i, s in want]
+            return len(got)
+
+        assert read("h0", 4, ranked_at=4) == 4  # a fresh fill
+        assert read("h0", 2, ranked_at=4) == 4  # a shallower read
+        assert calls == {"h0": 1}
+        assert read("z1", 5, ranked_at=5) == 3  # fewer than asked: the ranking is complete
+        assert read("z1", 9, ranked_at=9) == 3  # so a deeper read reuses it
+        assert calls == {"h0": 1, "z1": 1}
+        assert read("h0", 6, ranked_at=6) == 6  # a full shallow ranking is recomputed deeper
+        assert calls == {"h0": 2, "z1": 1}

@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -182,6 +185,37 @@ class TestBuildIndex:
         )
         index = build_index(corpus, ("text",))
         assert index.empty_item_ids == ("c",)
+
+
+class TestIndexLayout:
+    """What an index holds per entry: shared weights, unboxed postings and
+    slotted vectors."""
+
+    def test_documents_share_the_weight_of_a_term_and_count(self, toy_corpus):
+        index = build_index(toy_corpus, ("text",))
+        blue = index.vocabulary.index_of("blue")
+        # "blue" occurs once in d1 and once in d3
+        d1, d3 = index.vector("d1").entries[blue], index.vector("d3").entries[blue]
+        assert d1 == math.log(3 / 2)
+        assert d1 is d3
+
+    def test_posting_weights_are_double_arrays(self, toy_corpus):
+        index = build_index(toy_corpus, ("text",))
+        assert len(index._postings) == len(index.vocabulary)
+        for ids, scaled in index._postings.values():
+            assert type(ids) is tuple
+            assert type(scaled) is array and scaled.typecode == "d"
+            assert len(scaled) == len(ids)
+
+    def test_vector_is_slotted_and_round_trips(self):
+        # dataclass(slots=True) returns a new class, so a zero-argument
+        # super() inside SparseVector would see the old one: never use it there
+        v = SparseVector({3: 1.5, 1: 0.25})
+        assert not hasattr(v, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v)):
+            assert type(twin) is SparseVector
+            assert twin == v
+            assert list(twin.entries.items()) == [(1, 0.25), (3, 1.5)]
 
 
 class TestVocabulary:
