@@ -14,30 +14,6 @@ INTERACTION_FORMATS = ("explicit", "implicit")
 IMPLICIT_RATING = 1.0
 
 
-def _checked_rating(user_id: str, item_id: str, rating: float) -> float:
-    """The rules every activity obeys, stated once for ``Interaction`` and the
-    loader: non-empty ids and a finite, non-negative rating, returned as a float."""
-    if not user_id:
-        raise ValueError("user_id must be a non-empty string")
-    if not item_id:
-        raise ValueError("item_id must be a non-empty string")
-    if rating is None or not math.isfinite(rating) or rating < 0:
-        raise ValueError(f"rating must be finite and non-negative, got {rating!r}")
-    return float(rating)
-
-
-@dataclass(frozen=True)
-class Interaction:
-    """A single user-item activity; an unrated one counts as ``IMPLICIT_RATING``."""
-
-    user_id: str
-    item_id: str
-    rating: float = IMPLICIT_RATING
-
-    def __post_init__(self):
-        object.__setattr__(self, "rating", _checked_rating(self.user_id, self.item_id, self.rating))
-
-
 class InteractionDataset:
     """An immutable collection of user-item activities: one profile per user,
     holding item id -> rating by ascending item id. ``users`` and ``items``
@@ -45,20 +21,7 @@ class InteractionDataset:
     it loses all its activities. Instances are read-only after construction.
     """
 
-    def __init__(self, interactions: Iterable[Interaction]):
-        profiles: dict[str, dict[str, float]] = {}
-        items: dict[str, None] = {}
-        for x in interactions:
-            profile = profiles.setdefault(x.user_id, {})
-            if x.item_id in profile:
-                raise ValueError(f"duplicate interaction for {(x.user_id, x.item_id)!r}")
-            profile[x.item_id] = x.rating
-            items[x.item_id] = None
-        if not profiles:
-            raise EmptyDatasetError("dataset must contain at least one interaction")
-        self._freeze(profiles, items)
-
-    def _freeze(self, profiles: dict[str, dict[str, float]], items: Iterable[str]) -> None:
+    def __init__(self, profiles: dict[str, dict[str, float]], items: Iterable[str]):
         """Adopt ``profiles`` (user -> item -> rating, users in first-appearance
         order) and ``items``, sorting each profile by item id in place so only
         one unsorted profile is alive at a time."""
@@ -97,12 +60,10 @@ class InteractionDataset:
         """Items rated by ``user_id``; an unknown user raises ``KeyError``."""
         return self._profiles[user_id]
 
-    def has_user(self, user_id: str) -> bool:
-        return user_id in self._profiles
-
 
 def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, float]:
-    """``(user id, item id, rating)`` of one split row, checked as ``Interaction`` checks it."""
+    """``(user id, item id, rating)`` of one split row: non-empty ids and a
+    finite, non-negative rating."""
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 tab-separated fields, got {len(fields)}")
     rating = IMPLICIT_RATING
@@ -125,7 +86,13 @@ def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, fl
             int(timestamp[0])
         except ValueError:
             raise ValueError(f"invalid timestamp {timestamp[0]!r}") from None
-    return fields[0], fields[1], _checked_rating(fields[0], fields[1], rating)
+    if not fields[0]:
+        raise ValueError("user_id must be a non-empty string")
+    if not fields[1]:
+        raise ValueError("item_id must be a non-empty string")
+    if not math.isfinite(rating) or rating < 0:
+        raise ValueError(f"rating must be finite and non-negative, got {rating!r}")
+    return fields[0], fields[1], rating
 
 
 def _numbered_lines(fh, path):
@@ -169,9 +136,7 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
                 profiles[user] = {item: rating}
     if not profiles:
         raise EmptyDatasetError(f"{path}: no interaction records")
-    ds = InteractionDataset.__new__(InteractionDataset)
-    ds._freeze(profiles, items)
-    return ds
+    return InteractionDataset(profiles, items)
 
 
 @dataclass(frozen=True)

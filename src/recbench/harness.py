@@ -70,6 +70,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from None
             except UnicodeDecodeError:
                 raise ConfigurationError(str(decode_error(path))) from None
+            except (ValueError, RecursionError) as exc:
+                # an integer longer than int() accepts, or nesting deeper than the stack
+                raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
         known = {f.name for f in fields(cls)}
@@ -165,6 +168,9 @@ class ExperimentConfig:
                 )
             elif len(set(sel)) != len(sel):
                 problems.append(f"attribute selection has duplicate names: {list(sel)!r}")
+            elif not all(a.isprintable() for a in sel):
+                # a line break in a name would split plot_data.csv's series header
+                problems.append(f"attribute selection names must be printable, got {list(sel)!r}")
             else:
                 label_positions.setdefault(selection_label(sel), []).append(position)
         for label, positions in label_positions.items():

@@ -175,20 +175,6 @@ class CFModel:
     def ratings_of(self, user_id: str) -> Mapping[str, float]:
         return self._profiles[user_id]
 
-    def similarity(self, user_a: str, user_b: str) -> float:
-        """Similarity between two known users under the configured metric; the
-        pairwise reference that ``neighbors()`` matches bit for bit."""
-        pa, pb = self._profiles[user_a], self._profiles[user_b]
-        pairs = [(ra, pb[i]) for i, ra in pa.items() if i in pb]
-        if self.similarity_metric == "cosine":
-            dot = 0.0
-            for ra, rb in pairs:
-                dot += ra * rb
-            if dot == 0.0:
-                return 0.0
-            return dot / (self._norms[user_a] * self._norms[user_b])
-        return self._pearson(pairs)
-
     @staticmethod
     def _pearson(pairs: list[tuple[float, float]]) -> float:
         """The clamped correlation of ``(rating_a, rating_b)`` pairs, summed in
@@ -220,7 +206,7 @@ class CFModel:
         ``neighborhood_size`` are returned, ties broken by ascending id. One
         pass over the user's profile, in ascending item order, reads every
         co-rater from the item columns, so each pair sums its common items in
-        the order ``similarity()`` does and gets bit-identical scores.
+        the queried user's ascending item order.
         """
         pa = self._profiles[user_id]
         if self.similarity_metric == "cosine":

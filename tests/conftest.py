@@ -1,6 +1,6 @@
 import pytest
 
-from recbench import ContentCorpus, Interaction, InteractionDataset, ItemDocument
+from recbench import ContentCorpus, InteractionDataset, ItemDocument
 
 
 @pytest.fixture
@@ -24,7 +24,18 @@ def ratings_4x5():
         ("u3", "i2", 2), ("u3", "i4", 5),
         ("u4", "i1", 1), ("u4", "i5", 5),
     ]
-    return InteractionDataset(Interaction(u, i, float(r)) for u, i, r in rows)
+    return dataset(rows)
+
+
+def dataset(rows):
+    """The dataset of ``(user, item, rating)`` rows, built as ``load_interactions``
+    builds one: users and items in first-appearance order, a repeated pair
+    keeping its last rating."""
+    profiles, items = {}, {}
+    for user, item, rating in rows:
+        profiles.setdefault(user, {})[item] = float(rating)
+        items[item] = None
+    return InteractionDataset(profiles, items)
 
 
 def as_term_dicts(index):

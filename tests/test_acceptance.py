@@ -19,8 +19,6 @@ from recbench import (
     DatasetStats,
     EvalInput,
     ExperimentConfig,
-    Interaction,
-    InteractionDataset,
     ItemDocument,
     RecommendationList,
     UserProfile,
@@ -41,7 +39,7 @@ from recbench import (
     run_experiment,
     write_run_dir,
 )
-from conftest import as_term_dicts
+from conftest import as_term_dicts, dataset
 from oracles import (
     oracle_ap,
     oracle_ccov,
@@ -160,10 +158,7 @@ def _random_dataset(rng):
     n_items = rng.randint(2, 15)
     pairs = [(u, i) for u in range(n_users) for i in range(n_items)]
     chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
-    rows = tuple(
-        Interaction(f"u{u}", f"i{i}", float(rng.randint(1, 5))) for u, i in chosen
-    )
-    return InteractionDataset(rows)
+    return dataset((f"u{u}", f"i{i}", rng.randint(1, 5)) for u, i in chosen)
 
 
 def _check_stats_identities(ds):
@@ -172,7 +167,7 @@ def _check_stats_identities(ds):
     per_item = {}
     n_rows = 0
     for user in ds.users:
-        if ds.has_user(user):
+        if user in ds.profiles:
             profile = ds.profile(user)
             if profile:
                 per_user[user] = len(profile)
@@ -317,17 +312,17 @@ def test_4_recommender_oracle_equivalence():
             sup = recommend_sup(fit_sup(index, votes_per_item=votes), user, k)
             assert list(sup.entries) == oracle_sup(vectors, profile_ids, votes, k)
 
-        train = InteractionDataset(
+        train = dataset(
             (
-                Interaction("u1", "i1", 5.0),
-                Interaction("u1", "i2", 3.0),
-                Interaction("u1", "i4", 1.0),
-                Interaction("u2", "i1", 4.0),
-                Interaction("u2", "i3", 4.0),
-                Interaction("u3", "i2", 2.0),
-                Interaction("u3", "i4", 5.0),
-                Interaction("u4", "i1", 1.0),
-                Interaction("u4", "i5", 5.0),
+                ("u1", "i1", 5.0),
+                ("u1", "i2", 3.0),
+                ("u1", "i4", 1.0),
+                ("u2", "i1", 4.0),
+                ("u2", "i3", 4.0),
+                ("u3", "i2", 2.0),
+                ("u3", "i4", 5.0),
+                ("u4", "i1", 1.0),
+                ("u4", "i5", 5.0),
             )
         )
         model = fit_cf(train)
@@ -479,7 +474,7 @@ def test_8_protocol_integrity_and_determinism(tmp_path):
                 assert train_items == profile - hidden
                 assert len(train_items) >= config.min_train_items
             for user in ds.users:
-                if user not in eligible and ds.has_user(user):
+                if user not in eligible and user in ds.profiles:
                     assert set(split.train.profile(user)) == set(ds.profile(user))
 
         out_a = tmp_path / "run_a"

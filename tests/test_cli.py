@@ -91,6 +91,18 @@ class TestUsageErrors:
         assert proc.returncode == 1
 
 
+# a value that json.loads cannot turn into a Python object, and a fragment of its error
+BEYOND_THE_PARSER = [
+    ("1" * 5000, "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+]
+
+
+def with_rng_seed(config, value):
+    """The JSON text of ``config`` with ``value``, raw JSON text, as its rng_seed."""
+    return json.dumps({**config, "rng_seed": "@"}).replace('"@"', value)
+
+
 class TestRun:
     def test_run_writes_artifacts(self, workspace):
         tmp, _, config_path = workspace
@@ -160,6 +172,35 @@ class TestRun:
         proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("value, fragment", BEYOND_THE_PARSER, ids=["long-integer", "deep-nesting"])
+    def test_json_beyond_the_parsers_limits_is_exit_1(self, workspace, tmp_path, value, fragment):
+        """Each is an input error naming the file, not a runtime failure (exit 2)."""
+        _, _, config_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text(with_rng_seed(json.loads(config_path.read_text()), value))
+        proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {bad}: invalid JSON: ")
+        assert fragment in proc.stderr
+
+    def test_selection_name_with_a_line_break_is_exit_1(self, workspace, tmp_path):
+        """A line break in a name would split plot_data.csv's series header
+        over two lines, though the corpus has that attribute."""
+        tmp, _, config_path = workspace
+        content = tmp_path / "content.jsonl"
+        content.write_text((tmp / "content.jsonl").read_text().replace('"title"', '"ti\\ntle"'))
+        config = {
+            **json.loads(config_path.read_text()),
+            "content_path": str(content),
+            "attribute_selections": [["ti\ntle"]],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "error: attribute selection names must be printable, got ['ti\\ntle']\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +528,36 @@ class TestCompare:
         proc = compare_cf_sup(broken)
         assert proc.returncode == 1
         assert f"{broken / 'config.json'}: repeated config key 'rng_seed'" in proc.stderr
+
+    @pytest.mark.parametrize("value, fragment", BEYOND_THE_PARSER, ids=["long-integer", "deep-nesting"])
+    def test_json_beyond_the_parsers_limits_in_a_runs_config_is_exit_1(
+        self, finished_run, tmp_path, value, fragment
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        config_path = broken / "config.json"
+        config_path.write_text(with_rng_seed(json.loads(config_path.read_text()), value))
+        proc = compare_cf_sup(broken)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"error: {config_path}: invalid JSON: ")
+        assert fragment in proc.stderr
+
+    def test_selection_name_with_a_line_break_in_a_runs_config_is_exit_1(self, finished_run, tmp_path):
+        """The label would reach compare's ``attribute_selection=`` line raw."""
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        rows = read_csv(broken / "lists.csv")
+        column = rows[0].index("attribute_selection")
+        for row in rows[1:]:
+            if row[column] == "all":
+                row[column] = "ti\ntle"
+        write_csv(broken / "lists.csv", rows)
+        config = json.loads((broken / "config.json").read_text())
+        (broken / "config.json").write_text(json.dumps({**config, "attribute_selections": [["ti\ntle"]]}))
+        proc = compare_cf_sup(broken)
+        assert proc.returncode == 1, proc.stderr
+        assert "attribute selection names must be printable, got ['ti\\ntle']" in proc.stderr
+        assert proc.stdout == ""
 
     def test_one_run_named_twice_is_read_once(self, finished_run, tmp_path, monkeypatch, capsys):
         reads = []

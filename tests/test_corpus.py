@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from recbench import (
     DatasetStats,
     EmptyDatasetError,
-    Interaction,
-    InteractionDataset,
     ParseError,
     ProtocolError,
     compute_stats,
@@ -20,53 +18,20 @@ from recbench import (
     plan_splits,
 )
 
-
-def _ds(rows):
-    return InteractionDataset(Interaction(u, i, r) for u, i, r in rows)
-
-
-class TestInteraction:
-    def test_rejects_empty_ids(self):
-        with pytest.raises(ValueError):
-            Interaction("", "i1", 3.0)
-        with pytest.raises(ValueError):
-            Interaction("u1", "", 3.0)
-
-    def test_rejects_bad_ratings(self):
-        with pytest.raises(ValueError):
-            Interaction("u1", "i1", -1.0)
-        with pytest.raises(ValueError):
-            Interaction("u1", "i1", float("nan"))
-        with pytest.raises(ValueError):
-            Interaction("u1", "i1", float("inf"))
-
-    def test_rating_is_optional(self):
-        assert Interaction("u1", "i1").rating == 1.0
-        assert type(Interaction("u1", "i1", 4).rating) is float
-        with pytest.raises(ValueError):
-            Interaction("u1", "i1", None)
+from conftest import dataset
 
 
 class TestInteractionDataset:
     def test_first_appearance_order(self):
-        ds = _ds([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])
+        ds = dataset([("b", "y", 1.0), ("a", "x", 2.0), ("b", "x", 3.0)])
         assert ds.users == ("b", "a")
         assert ds.items == ("y", "x")
         assert ds.n_activities == 3
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            _ds([("u", "i", 1.0), ("u", "i", 2.0)])
-
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyDatasetError):
-            InteractionDataset([])
-
     def test_profiles_and_inverse(self):
-        ds = _ds([("u1", "a", 4.0), ("u1", "b", 2.0), ("u2", "a", 5.0)])
+        ds = dataset([("u1", "a", 4.0), ("u1", "b", 2.0), ("u2", "a", 5.0)])
         assert ds.profile("u1") == {"a": 4.0, "b": 2.0}
-        assert ds.has_user("u2") and not ds.has_user("u3")
+        assert "u2" in ds.profiles and "u3" not in ds.profiles
         with pytest.raises(KeyError):
             ds.profile("u3")
 
@@ -140,24 +105,29 @@ class TestLoadInteractions:
         assert exc.value.path == str(p)
 
     @pytest.mark.parametrize(
-        "row, user, item, rating",
+        "row, message",
         [
-            ("\ta\t3", "", "a", 3.0),
-            ("u2\t\t3", "u2", "", 3.0),
-            ("u2\ta\t-1", "u2", "a", -1.0),
-            ("u2\ta\tnan", "u2", "a", float("nan")),
-            ("u2\ta\tinf", "u2", "a", float("inf")),
+            # each id reads row-user-item-rating
+            pytest.param("\ta\t3", "user_id must be a non-empty string", id="\ta\t3--a-3.0"),
+            pytest.param("u2\t\t3", "item_id must be a non-empty string", id="u2\t\t3-u2--3.0"),
+            pytest.param(
+                "u2\ta\t-1", "rating must be finite and non-negative, got -1.0", id="u2\ta\t-1-u2-a--1.0"
+            ),
+            pytest.param(
+                "u2\ta\tnan", "rating must be finite and non-negative, got nan", id="u2\ta\tnan-u2-a-nan"
+            ),
+            pytest.param(
+                "u2\ta\tinf", "rating must be finite and non-negative, got inf", id="u2\ta\tinf-u2-a-inf"
+            ),
         ],
     )
-    def test_invalid_row_carries_the_interaction_message(self, tmp_path, row, user, item, rating):
-        with pytest.raises(ValueError) as expected:
-            Interaction(user, item, rating)
+    def test_invalid_row_carries_the_interaction_message(self, tmp_path, row, message):
         p = tmp_path / "r.tsv"
         p.write_text(f"u1\ta\t3\n# note\n{row}\n")
         with pytest.raises(ParseError) as exc:
             load_interactions(p)
         assert exc.value.line == 3
-        assert str(exc.value) == f"{p}:3: {expected.value}"
+        assert str(exc.value) == f"{p}:3: {message}"
 
     def test_negative_zero_rating_is_accepted(self, tmp_path):
         p = tmp_path / "r.tsv"
@@ -329,7 +299,7 @@ class TestStats:
         assert math.isclose(stats.items_per_user_ratio, 3533 / 6038, rel_tol=1e-12)
 
     def test_compute_stats_small(self):
-        ds = _ds([("u1", "a", 1.0), ("u1", "b", 1.0), ("u2", "a", 1.0)])
+        ds = dataset([("u1", "a", 1.0), ("u1", "b", 1.0), ("u2", "a", 1.0)])
         stats = compute_stats(ds)
         assert stats.n_users == 2 and stats.n_items == 2 and stats.n_activities == 3
         assert stats.avg_items_per_user == 1.5
@@ -346,7 +316,7 @@ class TestStats:
             for u in range(n_users):
                 for i in rng.sample(range(n_items), rng.randint(1, n_items)):
                     pairs.add((f"u{u}", f"i{i}"))
-            ds = InteractionDataset([Interaction(u, i, 1.0) for u, i in sorted(pairs)])
+            ds = dataset((u, i, 1.0) for u, i in sorted(pairs))
             s = compute_stats(ds)
             assert math.isclose(s.avg_items_per_user * s.n_users, s.n_activities, rel_tol=1e-12)
             assert math.isclose(s.avg_users_per_item * s.n_items, s.n_activities, rel_tol=1e-12)
@@ -363,14 +333,14 @@ def _protocol_ds(n_users=12, profile_size=25, n_items=60):
     for u in range(n_users):
         items = rng.sample(range(n_items), profile_size)
         rows.extend((f"u{u:02d}", f"i{i:02d}", float(rng.randint(1, 5))) for i in items)
-    return _ds(rows)
+    return dataset(rows)
 
 
 class TestSplits:
     def test_eligibility_boundary(self):
         rows = [("big", f"i{j}", 1.0) for j in range(20)]
         rows += [("small", f"i{j}", 1.0) for j in range(19)]
-        plan = plan_splits(_ds(rows), fold_count=1, given_n=10, min_train_items=10)
+        plan = plan_splits(dataset(rows), fold_count=1, given_n=10, min_train_items=10)
         assert "big" in plan.folds and "small" not in plan.folds
 
     def test_folds_partition_eligible_users(self):
@@ -395,7 +365,7 @@ class TestSplits:
         assert a.folds != b.folds
 
     def test_no_eligible_users(self):
-        ds = _ds([("u", "i", 1.0)])
+        ds = dataset([("u", "i", 1.0)])
         with pytest.raises(ProtocolError):
             plan_splits(ds, fold_count=2)
 
@@ -426,7 +396,7 @@ class TestSplits:
 
     def test_split_keeps_items_that_lost_all_activities(self):
         # every item has one rater, so each hidden item loses all its activities
-        ds = _ds([(u, f"{u}{j}", 1.0) for u in ("a", "b") for j in range(2)])
+        ds = dataset([(u, f"{u}{j}", 1.0) for u in ("a", "b") for j in range(2)])
         plan = plan_splits(ds, fold_count=2, given_n=1, min_train_items=1)
         for fold in range(2):
             split = materialize_split(ds, plan, fold)

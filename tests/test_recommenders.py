@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from recbench import (
     ColdStartError,
     ContentCorpus,
-    Interaction,
-    InteractionDataset,
     ItemDocument,
     RecommendationList,
     UserProfile,
@@ -19,6 +17,7 @@ from recbench import (
     fit_cf,
     fit_sup,
     fit_upa,
+    load_interactions,
     materialize_split,
     plan_splits,
     recommend_cf,
@@ -28,8 +27,8 @@ from recbench import (
 )
 from recbench import recommenders
 
-from conftest import as_term_dicts
-from oracles import oracle_cf, oracle_cf_neighbors, oracle_sup, oracle_upa
+from conftest import as_term_dicts, dataset
+from oracles import oracle_cf, oracle_cf_neighbors, oracle_cf_similarity, oracle_sup, oracle_upa
 import synth
 
 
@@ -146,11 +145,12 @@ class TestCF:
 
     def test_hand_computed_similarities(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
-        assert close(model.similarity("u1", "u2"), 20 / math.sqrt(35 * 32))
-        assert close(model.similarity("u1", "u3"), 11 / math.sqrt(35 * 29))
-        assert close(model.similarity("u1", "u4"), 5 / math.sqrt(35 * 26))
-        assert close(model.similarity("u2", "u4"), 4 / math.sqrt(32 * 26))
-        assert model.similarity("u2", "u3") == 0.0
+        u1, u2 = dict(model.neighbors("u1")), dict(model.neighbors("u2"))
+        assert close(u1["u2"], 20 / math.sqrt(35 * 32))
+        assert close(u1["u3"], 11 / math.sqrt(35 * 29))
+        assert close(u1["u4"], 5 / math.sqrt(35 * 26))
+        assert close(u2["u4"], 4 / math.sqrt(32 * 26))
+        assert "u3" not in u2  # no common item: similarity 0, not a neighbour
 
     def test_neighbors_ranked_and_truncated(self, ratings_4x5):
         model = fit_cf(ratings_4x5, neighborhood_size=2)
@@ -190,41 +190,39 @@ class TestCF:
         with pytest.raises(ColdStartError):
             recommend_cf(model, UserProfile("nobody", {"i1": 5.0}), 5)
 
-    def test_implicit_ratings_count_as_one(self):
-        ds = InteractionDataset(
-            [
-                Interaction("a", "x"), Interaction("a", "y"),
-                Interaction("b", "x"), Interaction("b", "z"),
-            ]
-        )
+    def test_implicit_ratings_count_as_one(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_text("a\tx\na\ty\nb\tx\nb\tz\n")
+        ds = load_interactions(p, format="implicit")
         model = fit_cf(ds)
-        assert close(model.similarity("a", "b"), 1 / 2)
+        assert close(dict(model.neighbors("a"))["b"], 1 / 2)
         lst = recommend_cf(model, _profile(ds, "a"), 5)
         assert entries_close(lst.entries, (("z", 0.5),))
 
     def test_pearson_hand_values(self):
-        ds = InteractionDataset(
+        ds = dataset(
             [
-                Interaction("a", "x", 1.0), Interaction("a", "y", 5.0), Interaction("a", "z", 3.0),
-                Interaction("b", "x", 2.0), Interaction("b", "y", 4.0), Interaction("b", "z", 3.0),
-                Interaction("c", "x", 5.0), Interaction("c", "y", 1.0), Interaction("c", "w", 2.0),
+                ("a", "x", 1.0), ("a", "y", 5.0), ("a", "z", 3.0),
+                ("b", "x", 2.0), ("b", "y", 4.0), ("b", "z", 3.0),
+                ("c", "x", 5.0), ("c", "y", 1.0), ("c", "w", 2.0),
             ]
         )
         model = fit_cf(ds, similarity_metric="pearson")
-        assert model.similarity("a", "b") == 1.0
-        assert model.similarity("a", "c") == -1.0
+        a, c = ds.profile("a"), ds.profile("c")
+        assert recommenders.CFModel._pearson([(a[i], c[i]) for i in a if i in c]) == -1.0
         # anti-correlated users are not neighbours
-        assert [v for v, _ in model.neighbors("a")] == ["b"]
+        assert model.neighbors("a") == (("b", 1.0),)
 
     def test_pearson_needs_two_common_items(self):
-        ds = InteractionDataset(
+        ds = dataset(
             [
-                Interaction("a", "x", 5.0), Interaction("a", "y", 1.0),
-                Interaction("b", "x", 4.0), Interaction("b", "z", 2.0),
+                ("a", "x", 5.0), ("a", "y", 1.0),
+                ("b", "x", 4.0), ("b", "z", 2.0),
             ]
         )
         model = fit_cf(ds, similarity_metric="pearson")
-        assert model.similarity("a", "b") == 0.0
+        assert recommenders.CFModel._pearson([(5.0, 4.0)]) == 0.0
+        assert model.neighbors("a") == () and model.neighbors("b") == ()
 
     def test_bad_params(self, ratings_4x5):
         with pytest.raises(ValueError):
@@ -244,8 +242,8 @@ def _random_explicit(rng):
     for n in range(rng.randint(6, 12)):
         for item in rng.sample(items, 6 if n < 2 else rng.randint(1, 6)):
             r = rng.choice((0.0, 1.0, 2.5, 5.0)) if rng.random() < 0.6 else rng.uniform(0.0, 5.0)
-            rows.append(Interaction(f"u{n:02d}", item, r))
-    return InteractionDataset(rows)
+            rows.append((f"u{n:02d}", item, r))
+    return dataset(rows)
 
 
 class TestCFAgainstBruteForce:
@@ -277,21 +275,20 @@ class TestCFAgainstBruteForce:
     def test_each_pair_sums_in_the_users_item_order(self):
         """Co-rated products 1e16, 1.0, 1.0 by ascending item id sum to 1e16
         left to right and to 1e16 + 2 right to left, so a score that summed
-        them in another order would differ from ``similarity()``."""
-        cosine = InteractionDataset(
-            Interaction(u, i, r) for u in "ab" for i, r in (("i1", 1e8), ("i2", 1.0), ("i3", 1.0))
-        )
+        them in another order would differ from the pairwise oracle."""
+        cosine = dataset((u, i, r) for u in "ab" for i, r in (("i1", 1e8), ("i2", 1.0), ("i3", 1.0)))
         # pearson sums the ratings themselves first: 1e16, 1.0, 1.0 again
-        pearson = InteractionDataset(
-            [Interaction("a", i, r) for i, r in (("i1", 1e16), ("i2", 1.0), ("i3", 1.0))]
-            + [Interaction("b", i, r) for i, r in (("i1", 4.0), ("i2", 1.0), ("i3", 2.0))]
+        pearson = dataset(
+            [("a", i, r) for i, r in (("i1", 1e16), ("i2", 1.0), ("i3", 1.0))]
+            + [("b", i, r) for i, r in (("i1", 4.0), ("i2", 1.0), ("i3", 2.0))]
         )
         for metric, ds in (("cosine", cosine), ("pearson", pearson)):
             model = fit_cf(ds, similarity_metric=metric)
+            ratings = {u: dict(ds.profile(u)) for u in ds.users}
             for u, v in (("a", "b"), ("b", "a")):
                 ((neighbor, score),) = model.neighbors(u)
                 assert neighbor == v
-                assert score.hex() == model.similarity(u, v).hex()
+                assert score.hex() == oracle_cf_similarity(ratings, u, v, metric).hex()
         # the order shows on these inputs: right to left gives other scores
         assert fit_cf(cosine).neighbors("a") == (("b", 1.0),)
         assert (1.0 + 1.0) + 1e16 == 1e16 + 2.0
@@ -505,7 +502,7 @@ class TestNeighborTable:
 
     def test_one_ranking_per_voter_on_dense_preset(self, monkeypatch):
         data = synth.dense()
-        ds = InteractionDataset(Interaction(u, i, float(r)) for u, i, r in data.interactions)
+        ds = dataset(data.interactions)
         corpus = ContentCorpus(ItemDocument(i, attrs) for i, attrs in data.documents.items())
         index = build_index(corpus, ("text",))
         plan = plan_splits(ds, fold_count=10, rng_seed=0)
