@@ -24,7 +24,14 @@ from .corpus import (
 from .errors import ConfigurationError, RecbenchError, decode_error
 from .metrics import EvalInput, evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import ALGORITHMS, RecommendationList, UserProfile, _positive_int
-from .textproc import build_index, check_selection, default_stopwords, load_stopwords
+from .textproc import (
+    build_index,
+    check_selection,
+    default_stopwords,
+    empty_vocabulary,
+    load_stopwords,
+    tokenize_content,
+)
 
 log = logging.getLogger("recbench")
 
@@ -288,7 +295,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Every protocol user of a fold gets one ranked list per algorithm (and
     per attribute selection for the content-based ones), generated once at
-    the largest configured k. The work runs in three passes:
+    the largest configured k. With content algorithms, every selected
+    attribute is first tokenized once, the raw text is dropped, and a
+    selection whose vocabulary would be empty is rejected before any fold.
+    The work then runs in three passes:
 
     1. Per fold: build the split, keep the test users' profiles and hidden
        sets, and produce the lists of every algorithm that reads no content
@@ -325,6 +335,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
             for sel in config.attribute_selections
         ]
+        # one pass tokenizes every selected attribute; the raw text goes
+        # before any index is built
+        content = tokenize_content(corpus, sorted({a for names in selections for a in names}), stopwords)
+        del corpus
+        empty = [label for names, label in zip(selections, list_sets) if not content.shares_a_term(names)]
+        if empty:
+            raise ConfigurationError([empty_vocabulary(label) for label in empty])
 
     plan = plan_splits(
         ds,
@@ -341,7 +358,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     catalog: list[str] = list(ds.items)
     if content_algorithms:
         seen = set(catalog)
-        catalog.extend(i for i in sorted(corpus.item_ids()) if i not in seen)
+        catalog.extend(i for i in sorted(content.item_ids) if i not in seen)
     catalog_set = set(catalog)
 
     lists_store: dict[tuple[str, str, int], dict[str, RecommendationList]] = {}
@@ -358,7 +375,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for names, label in zip(selections, list_sets):
         lists_store.update(
             _content_lists(
-                corpus, names, label, stopwords, content_algorithms, profiles_by_fold, kmax
+                content, names, label, stopwords, content_algorithms, profiles_by_fold, kmax
             )
         )
         log.info("selection %s done", label)
@@ -422,15 +439,15 @@ def _prepare_fold(ds, plan, fold, algorithms, k):
     return profiles, dict(split.hidden), lists
 
 
-def _content_lists(corpus, names, label, stopwords, algorithms, profiles_by_fold, k):
+def _content_lists(content, names, label, stopwords, algorithms, profiles_by_fold, k):
     """The lists of each content algorithm ``(spec, params)`` in
-    ``algorithms`` on the attributes ``names``, for every fold, keyed like
-    ``ExperimentResult.lists``.
+    ``algorithms`` on the attributes ``names`` of the tokenized ``content``,
+    for every fold, keyed like ``ExperimentResult.lists``.
 
     The index and the models fitted on it live only in this call, so at
     most one selection's index is alive at a time.
     """
-    index = build_index(corpus, names, stopwords)
+    index = build_index(content, names, stopwords)
     empty = index.empty_item_ids
     if empty:
         log.info("selection %s: %d items have empty vectors", label, len(empty))

@@ -13,18 +13,19 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .corpus import ContentCorpus
 from .errors import ConfigurationError, decode_error
 
-_TOKEN = re.compile(r"[^\W_]+")
+# a run of one letter or digit is never a token, so it is never matched
+_TOKEN = re.compile(r"[^\W_]{2,}")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text``, split on non-alphanumeric characters, and drop
     tokens shorter than two characters."""
-    return [t for t in _TOKEN.findall(text.lower()) if len(t) >= 2]
+    return _TOKEN.findall(text.lower())
 
 
 def _parse_stopword_lines(text: str) -> frozenset[str]:
@@ -171,9 +172,10 @@ class DocumentIndex:
         return tuple(sorted(i for i, v in self.vectors.items() if not v.entries))
 
 
-def check_selection(corpus: ContentCorpus, attribute_selection: Sequence[str]) -> tuple[str, ...]:
+def check_selection(corpus, attribute_selection: Sequence[str]) -> tuple[str, ...]:
     """Return ``attribute_selection`` as a tuple, or raise
-    ``ConfigurationError`` listing why it cannot be indexed over ``corpus``."""
+    ``ConfigurationError`` listing why it cannot be indexed over ``corpus``
+    (a ``ContentCorpus`` or a ``TokenizedContent``)."""
     if len(corpus) == 0:
         raise ConfigurationError("content corpus is empty")
     selection = tuple(attribute_selection)
@@ -192,8 +194,73 @@ def check_selection(corpus: ContentCorpus, attribute_selection: Sequence[str]) -
     return selection
 
 
+def empty_vocabulary(label: str) -> str:
+    """The problem of the selection ``label`` whose vocabulary is empty."""
+    return f"selection {label}: vocabulary is empty after stopword and single-document term removal"
+
+
+class TokenizedContent:
+    """Item documents as tokens, with none of their raw text.
+
+    ``columns`` maps each attribute name, in ascending order, to one tuple
+    of tokens per document of ``item_ids``: the attribute's tokens in text
+    order after removing ``stopwords``, empty where the document lacks the
+    attribute. Every equal term is held as one shared string.
+    """
+
+    __slots__ = ("item_ids", "columns", "stopwords")
+
+    def __init__(
+        self, item_ids: tuple[str, ...], columns: dict[str, list[tuple[str, ...]]], stopwords: AbstractSet[str]
+    ):
+        self.item_ids = item_ids
+        self.columns = columns
+        self.stopwords = stopwords
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    def attribute_names(self) -> tuple[str, ...]:
+        return tuple(self.columns)
+
+    def shares_a_term(self, attribute_selection: Sequence[str]) -> bool:
+        """Whether some term of the selected attributes occurs in two or
+        more documents, so the selection's vocabulary is not empty. The scan
+        stops at the first term seen in a second document."""
+        seen: set[str] = set()
+        for parts in zip(*(self.columns[a] for a in attribute_selection)):
+            terms = set().union(*parts)
+            if not seen.isdisjoint(terms):
+                return True
+            seen |= terms
+        return False
+
+
+def tokenize_content(
+    corpus: ContentCorpus, attributes: Sequence[str], stopwords: AbstractSet[str] = frozenset()
+) -> TokenizedContent:
+    """Tokenize each document of ``corpus`` once per attribute of
+    ``attributes`` and drop ``stopwords``.
+
+    The tokens of a selection's attributes, taken in turn, are the tokens of
+    their space-joined text, because a space always splits tokens.
+    """
+    names = check_selection(corpus, attributes)
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    columns = {}
+    for a in sorted(names):
+        columns[a] = [
+            tuple([share(t, t) for t in tokenize(text) if t not in stopwords])
+            if (text := doc.attributes.get(a))
+            else ()
+            for doc in corpus.documents.values()
+        ]
+    return TokenizedContent(corpus.item_ids(), columns, stopwords)
+
+
 def build_index(
-    corpus: ContentCorpus,
+    corpus: ContentCorpus | TokenizedContent,
     attribute_selection: Sequence[str],
     stopwords: AbstractSet[str] = frozenset(),
 ) -> DocumentIndex:
@@ -207,32 +274,33 @@ def build_index(
     (terms present in every document) are simply not stored. The weight is
     computed once per (term, count), and every document with that count of
     the term holds the same float object.
+
+    ``corpus`` is a ``ContentCorpus``, tokenized here over the selected
+    attributes only, or the ``TokenizedContent`` of an earlier
+    ``tokenize_content`` pass over them with the same ``stopwords``.
     """
+    if not isinstance(corpus, TokenizedContent):
+        corpus = tokenize_content(corpus, attribute_selection, stopwords)
+    elif corpus.stopwords != stopwords:
+        raise ValueError("the content was tokenized against other stopwords")
     selection = check_selection(corpus, attribute_selection)
+    columns = [corpus.columns[a] for a in selection]
 
-    counts_by_item: dict[str, Counter] = {}
-    df: Counter = Counter()
-    for item_id, doc in corpus.documents.items():
-        text = " ".join(doc.attributes.get(a, "") for a in selection)
-        tokens = [t for t in tokenize(text) if t not in stopwords]
-        counts = Counter(tokens)
-        counts_by_item[item_id] = counts
-        df.update(counts.keys())
-
+    # df first, so that each document's counts live only while its vector is built
+    df = Counter(chain.from_iterable(set().union(*parts) for parts in zip(*columns)))
     terms = tuple(sorted(t for t, d in df.items() if d >= 2))
     if not terms:
-        raise ConfigurationError(
-            f"selection {'+'.join(selection)}: vocabulary is empty after stopword"
-            " and single-document term removal"
-        )
+        raise ConfigurationError(empty_vocabulary("+".join(selection)))
     n_docs = len(corpus)
     vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
     index_of = vocab._index
     weights: dict[tuple[int, int], float] = {}
     vectors: dict[str, SparseVector] = {}
-    for item_id in list(counts_by_item):
-        # each document's counts go once its vector is built
-        counts = counts_by_item.pop(item_id)
+    for item_id, *parts in zip(corpus.item_ids, *columns):
+        counts: dict[str, int] = {}
+        for tokens in parts:
+            for t in tokens:
+                counts[t] = counts.get(t, 0) + 1
         entries: dict[int, float] = {}
         for t in sorted(counts):
             i = index_of.get(t)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import synth
 from recbench import cli
 from test_harness import small_fixture
 
@@ -200,6 +201,29 @@ class TestRun:
         proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "error: attribute selection names must be printable, got ['ti\\ntle']\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_selection_with_an_empty_vocabulary_fails_before_any_fold(self, tmp_path):
+        """Every protocol_fixture title is a term of its own document only, so
+        the title selection keeps no term; the run stops before splitting."""
+        data = synth.protocol_fixture()
+        data.write_interactions(tmp_path / "interactions.tsv")
+        data.write_content(tmp_path / "content.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "interactions_path": str(tmp_path / "interactions.tsv"),
+            "content_path": str(tmp_path / "content.jsonl"),
+            "algorithms": {"cf": {}, "sup": {}},
+            "attribute_selections": ["all", ["title"]],
+            "fold_count": 3,
+        }))
+        proc = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert not [line for line in proc.stderr.splitlines() if line.startswith("fold ")]
+        assert proc.stderr == (
+            "error: selection title: vocabulary is empty after stopword"
+            " and single-document term removal\n"
+        )
         assert not (tmp_path / "out").exists()
 
 

@@ -218,6 +218,25 @@ class TestRunExperiment:
         assert len(built["build_index"]) == 3
         assert len(built["materialize_split"]) == cfg.fold_count
 
+    def test_raw_content_is_released_before_any_index(self, paths, monkeypatch):
+        loaded, built = [], []
+        load_content, build_index = harness.load_content, harness.build_index
+
+        def loading(path):
+            corpus = load_content(path)
+            loaded.append(weakref.ref(corpus))
+            return corpus
+
+        def building(*args, **kwargs):
+            assert [ref() for ref in loaded] == [None], "the loaded content corpus is alive"
+            built.append(args[1])
+            return build_index(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_content", loading)
+        monkeypatch.setattr(harness, "build_index", building)
+        run_experiment(make_config(paths, attribute_selections=["all", ["plot"], ["title"]]))
+        assert built == [("plot", "title"), ("plot",), ("title",)]
+
     def test_unknown_attribute_fails_before_any_split(self, paths, monkeypatch):
         def no_split(*args, **kwargs):
             raise AssertionError("a fold was split before the selections were checked")

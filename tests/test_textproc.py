@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from array import array
 from unittest import mock
@@ -49,6 +50,68 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("") == []
         assert tokenize("  \t ") == []
+
+
+# words that share a term once lowercased, with a final sigma (ΟΔΟΣ -> οδος),
+# digits, underscores and combining marks; separators that split a token or
+# join two words into one
+_WORDS = st.sampled_from(["ΟΔΟΣ", "οδος", "ΣΑ", "σα", "ab", "Ab_cd", "x9", "99", "e\u0301t\u0308", "a", "İt"])
+_GLUE = st.sampled_from([" ", "_", "-", "\u0301", "\u0308", "Σ", ""])
+ATTRIBUTE_TEXT = st.lists(st.tuples(_WORDS, _GLUE), max_size=8).map(
+    lambda parts: "".join(word + glue for word, glue in parts)
+)
+
+
+class TestTokenPass:
+    """Tokenizing attribute by attribute is tokenizing the space-joined text."""
+
+    STOPWORDS = frozenset({"ab", "σα"})
+
+    @given(st.text())
+    def test_tokens_are_runs_of_two_or_more_letters_or_digits(self, text):
+        assert tokenize(text) == [t for t in re.findall(r"[^\W_]+", text.lower()) if len(t) >= 2]
+
+    @given(st.lists(st.one_of(ATTRIBUTE_TEXT, st.text()), min_size=1, max_size=4))
+    def test_attribute_tokens_in_turn_are_the_joined_texts_tokens(self, texts):
+        names = [f"a{n}" for n in range(len(texts))]
+        corpus = ContentCorpus([ItemDocument("d", dict(zip(names, texts)))])
+        content = textproc.tokenize_content(corpus, names, self.STOPWORDS)
+        assert [t for a in names for t in content.columns[a][0]] == [
+            t for t in tokenize(" ".join(texts)) if t not in self.STOPWORDS
+        ]
+
+    @given(st.lists(st.tuples(ATTRIBUTE_TEXT, ATTRIBUTE_TEXT), min_size=2, max_size=6))
+    def test_multi_attribute_index_is_the_joined_texts_index(self, docs):
+        def built(corpus, selection):
+            try:
+                index = build_index(corpus, selection, self.STOPWORDS)
+            except ConfigurationError:
+                return None
+            vectors = [(i, {t: w.hex() for t, w in v.entries.items()}) for i, v in index.vectors.items()]
+            return index.vocabulary.terms, dict(index.vocabulary.df), vectors
+
+        joined = ContentCorpus(ItemDocument(f"d{n}", {"text": f"{a} {b}"}) for n, (a, b) in enumerate(docs))
+        corpus = ContentCorpus(ItemDocument(f"d{n}", {"b": b, "a": a}) for n, (a, b) in enumerate(docs))
+        content = textproc.tokenize_content(corpus, ("a", "b"), self.STOPWORDS)
+        expected = built(joined, ("text",))
+        assert built(corpus, ("a", "b")) == expected
+        assert built(content, ("a", "b")) == expected
+        assert content.shares_a_term(("a", "b")) == (expected is not None)
+
+    def test_tokens_share_one_string_per_term(self):
+        corpus = ContentCorpus(
+            [ItemDocument("a", {"title": "Red fox", "plot": "red red"}), ItemDocument("b", {"plot": "fox"})]
+        )
+        content = textproc.tokenize_content(corpus, ("plot", "title"))
+        assert content.columns == {"plot": [("red", "red"), ("fox",)], "title": [("red", "fox"), ()]}
+        reds = [content.columns["plot"][0][0], content.columns["plot"][0][1], content.columns["title"][0][0]]
+        assert all(t is reds[0] for t in reds)
+        assert content.columns["title"][0][1] is content.columns["plot"][1][0]
+
+    def test_tokens_made_with_other_stopwords_are_refused(self, toy_corpus):
+        content = textproc.tokenize_content(toy_corpus, ("text",), frozenset({"red"}))
+        with pytest.raises(ValueError, match="other stopwords"):
+            build_index(content, ("text",))
 
 
 class TestStopwords:
