@@ -303,14 +303,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     1. Per fold: build the split, keep the test users' profiles and hidden
        sets, and produce the lists of every algorithm that reads no content
        (``cf``). The split and the models fitted on it are dropped before
-       the next fold's split is built.
+       the next fold's split is built, and the interaction dataset and the
+       fold plan after the last fold.
     2. Per attribute selection: build the index, fit each content algorithm
        (``sup``, ``upa``) once, and produce its lists for every fold. The
        index, and the ``sup`` neighbour table built on it, are dropped
        before the next selection's index is built.
     3. Per list set of each fold, and per k: record quality and coverage
-       metrics. Per pair of algorithms under one report label, and per k:
-       record each fold's list overlap and sum the folds' hit intersections.
+       metrics against the catalog's item set, built for this pass. Per
+       pair of algorithms under one report label, and per k: record each
+       fold's list overlap and sum the folds' hit intersections.
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
@@ -357,9 +359,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # catalog coverage expose that.
     catalog: list[str] = list(ds.items)
     if content_algorithms:
-        seen = set(catalog)
-        catalog.extend(i for i in sorted(content.item_ids) if i not in seen)
-    catalog_set = set(catalog)
+        catalog += sorted(set(content.item_ids).difference(catalog))
 
     lists_store: dict[tuple[str, str, int], dict[str, RecommendationList]] = {}
     hidden_store: dict[int, dict[str, frozenset[str]]] = {}
@@ -371,6 +371,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         profiles_by_fold[fold] = profiles
         lists_store.update(fold_lists)
         log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(profiles))
+    # no step after the folds reads the interactions: drop them before any index
+    del ds, plan
     # with content algorithms, list_sets is keyed by the selections' labels in order
     for names, label in zip(selections, list_sets):
         lists_store.update(
@@ -380,6 +382,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
         log.info("selection %s done", label)
 
+    # built only now, when no index is alive any more
+    catalog_set = set(catalog)
     records: list[ReportRecord] = []
     for (algorithm, label, fold), lists in lists_store.items():
         for k in config.k_values:

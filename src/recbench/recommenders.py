@@ -288,7 +288,8 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
     for item_id in user.items:
         if item_id not in model.index:
             continue
-        for t, w in model.index.vector(item_id).entries.items():
+        vec = model.index.vector(item_id)
+        for t, w in zip(vec.terms, vec.weights):
             aggregated[t] = aggregated.get(t, 0.0) + w
     if not aggregated:
         return RecommendationList(user_id=user.user_id, entries=(), target_k=k)

@@ -9,9 +9,10 @@ import heapq
 import math
 import re
 from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from importlib import resources
 from itertools import accumulate, chain
 
@@ -38,7 +39,8 @@ def _parse_stopword_lines(text: str) -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Read a stopword file: UTF-8, one lowercase term per line."""
+    """Read a stopword file: UTF-8, each non-blank line, stripped and
+    lowercased, one term. No line is a comment; a ``#`` stays in its term."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -83,36 +85,62 @@ class Vocabulary:
         return self._index.get(term)
 
 
-@dataclass(slots=True)
 class SparseVector:
     """Non-zero, finite, non-negative weights keyed by vocabulary term index,
     held in ascending term-index order whatever order they were given in.
 
-    Slotted: no instance dict. ``slots=True`` returns a new class, so its
-    methods must not call ``super()`` without arguments.
+    Built from a mapping of term index to weight, but stored as two tuples:
+    ``terms``, the term indices in ascending order, and ``weights``, each
+    term's weight beside it, the very float objects it was given (an
+    index's vectors share one float per (term, count)). ``entries`` is a
+    dict built on each read, so changing it leaves the vector as it was.
+    The vector is immutable, and equality and ``repr`` go by content.
     """
 
-    entries: dict[int, float]
+    __slots__ = ("terms", "weights")
 
-    def __post_init__(self):
-        clean: dict[int, float] = {}
-        for i in sorted(self.entries):
-            w = self.entries[i]
+    def __init__(self, entries: Mapping[int, float]):
+        terms, weights = [], []
+        for i in sorted(entries):
+            w = entries[i]
             if not 0.0 <= w < math.inf:  # also false for NaN
                 raise ValueError(f"weight for term index {i} is negative or not finite: {w!r}")
             if w != 0.0:
-                clean[i] = w
-        self.entries = clean
+                terms.append(i)
+                weights.append(w)
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "weights", tuple(weights))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms and self.weights == other.weights
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(entries={self.entries!r})"
+
+    @property
+    def entries(self) -> dict[int, float]:
+        return dict(zip(self.terms, self.weights))
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.terms)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
     def norm(self) -> float:
         s = 0.0
-        for w in self.entries.values():
+        for w in self.weights:
             s += w * w
         return math.sqrt(s)
 
@@ -124,8 +152,9 @@ class DocumentIndex:
     inverted index from term index to the items carrying that term: per
     term, a tuple of item ids in index order and, beside it, an
     ``array("d")`` of each item's weight over its norm, 8 bytes a posting
-    with no float object. Immutable once constructed; safe to query
-    concurrently.
+    with no float object. An (item, term) entry is thus a term-index and a
+    weight reference in the vector's two tuples plus one posting. Immutable
+    once constructed; safe to query concurrently.
     """
 
     def __init__(self, vocabulary: Vocabulary, vectors: Mapping[str, SparseVector]):
@@ -133,7 +162,7 @@ class DocumentIndex:
         self.vectors: dict[str, SparseVector] = dict(vectors)
         n_terms = len(vocabulary)
         for item_id, vec in self.vectors.items():
-            for t in vec.entries:
+            for t in vec.terms:
                 if not 0 <= t < n_terms:
                     raise ValueError(f"vector for {item_id!r} uses term index {t} outside the vocabulary")
         self._norms = {item_id: vec.norm() for item_id, vec in self.vectors.items()}
@@ -142,7 +171,7 @@ class DocumentIndex:
         columns: dict[int, tuple[list[str], array]] = defaultdict(lambda: ([], array("d")))
         for item_id, vec in self.vectors.items():
             norm = self._norms[item_id]
-            for t, w in vec.entries.items():
+            for t, w in zip(vec.terms, vec.weights):
                 ids, scaled = columns[t]
                 ids.append(item_id)
                 scaled.append(w / norm)
@@ -164,12 +193,16 @@ class DocumentIndex:
     def postings(self, term_index: int) -> tuple[tuple[str, float], ...]:
         """``(item_id, weight)`` for each item carrying the term, in index order."""
         ids = self._postings.get(term_index, ((), ()))[0]
-        return tuple((item_id, self.vectors[item_id].entries[term_index]) for item_id in ids)
+        pairs = []
+        for item_id in ids:
+            vec = self.vectors[item_id]
+            pairs.append((item_id, vec.weights[bisect_left(vec.terms, term_index)]))
+        return tuple(pairs)
 
     @property
     def empty_item_ids(self) -> tuple[str, ...]:
         """Items whose document produced no retained terms."""
-        return tuple(sorted(i for i, v in self.vectors.items() if not v.entries))
+        return tuple(sorted(i for i, v in self.vectors.items() if not v))
 
 
 def check_selection(corpus, attribute_selection: Sequence[str]) -> tuple[str, ...]:
@@ -352,18 +385,18 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     qnorm = query.norm()
     if qnorm == 0.0:
         return []
-    entries = query.entries
     postings = index._postings
     bounds = index._bounds
-    walk = sorted(((qw * bounds[t], t) for t, qw in entries.items() if t in bounds), reverse=True)
+    walk = sorted(
+        ((qw * bounds[t], t, qw) for t, qw in zip(query.terms, query.weights) if t in bounds), reverse=True
+    )
     # rests[j]: the most the terms walk[j:] can add to any item's score
-    rests = [*accumulate((bound for bound, _ in reversed(walk)), initial=0.0)][::-1]
+    rests = [*accumulate((bound for bound, _, _ in reversed(walk)), initial=0.0)][::-1]
     scan_at = _SCAN_SHARE * len(index)
     acc: dict[str, float] = {}
     get = acc.get
     rest = 0.0
-    for j, (_, t) in enumerate(walk, start=1):
-        qw = entries[t]
+    for j, (_, t, qw) in enumerate(walk, start=1):
         ids, scaled = postings[t]
         for item_id, sw in zip(ids, scaled):
             acc[item_id] = get(item_id, 0.0) + qw * sw
@@ -372,29 +405,40 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
         if len(acc) >= k and sum(map(bar.__lt__, acc.values())) >= k:
             break
         if len(acc) > scan_at:
-            return _scored(index, entries, qnorm, k, index.vectors)
+            return _scored(index, query, qnorm, k, index.vectors)
     cut = 0.0
     if len(acc) > k:
         kth = heapq.nlargest(k, acc.values())[-1]
         cut = kth * (1.0 - _SLACK) / (1.0 + _SLACK) - rest
-    return _scored(index, entries, qnorm, k, (item_id for item_id, p in acc.items() if p >= cut))
+    return _scored(index, query, qnorm, k, (item_id for item_id, p in acc.items() if p >= cut))
 
 
 def _scored(
-    index: DocumentIndex, entries: Mapping[int, float], qnorm: float, k: int, item_ids: Iterable[str]
+    index: DocumentIndex, query: SparseVector, qnorm: float, k: int, item_ids: Iterable[str]
 ) -> list[tuple[str, float]]:
-    """The top ``k`` of ``item_ids`` by exact cosine with the query whose
-    weights are ``entries``, each dot product summed in ascending term order."""
+    """The top ``k`` of ``item_ids`` by exact cosine with ``query``, whose
+    norm is ``qnorm``, each dot product summed in ascending term order.
+
+    The query's weights go into one list indexed by term, 0.0 where the
+    query lacks the term; query terms outside the vocabulary, which no item
+    carries, are left out. Every term of an item's vector is then summed,
+    and a term the query lacks adds ``0.0 * w``, which is +0.0 since no
+    weight is negative, so each sum is the same double as over the shared
+    terms alone.
+    """
+    n_terms = len(index.vocabulary)
+    dense = [0.0] * n_terms
+    for t, qw in zip(query.terms, query.weights):
+        if 0 <= t < n_terms:
+            dense[t] = qw
     norms = index._norms
     vectors = index.vectors
-    qget = entries.get
     scored = []
     for item_id in item_ids:
+        vec = vectors[item_id]
         d = 0.0
-        for t, w in vectors[item_id].entries.items():
-            qw = qget(t)
-            if qw is not None:
-                d += qw * w
+        for t, w in zip(vec.terms, vec.weights):
+            d += dense[t] * w
         if d > 0.0:
             # negating a float is exact, so (-score, id) orders exactly as
             # the documented (descending score, ascending id)

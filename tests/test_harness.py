@@ -237,6 +237,25 @@ class TestRunExperiment:
         run_experiment(make_config(paths, attribute_selections=["all", ["plot"], ["title"]]))
         assert built == [("plot", "title"), ("plot",), ("title",)]
 
+    def test_interactions_are_released_before_any_index(self, paths, monkeypatch):
+        loaded, built = [], []
+        load_interactions, build_index = harness.load_interactions, harness.build_index
+
+        def loading(*args, **kwargs):
+            ds = load_interactions(*args, **kwargs)
+            loaded.append(weakref.ref(ds))
+            return ds
+
+        def building(*args, **kwargs):
+            assert [ref() for ref in loaded] == [None], "the interaction dataset is alive"
+            built.append(args[1])
+            return build_index(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_interactions", loading)
+        monkeypatch.setattr(harness, "build_index", building)
+        run_experiment(make_config(paths, attribute_selections=["all", ["plot"], ["title"]]))
+        assert built == [("plot", "title"), ("plot",), ("title",)]
+
     def test_unknown_attribute_fails_before_any_split(self, paths, monkeypatch):
         def no_split(*args, **kwargs):
             raise AssertionError("a fold was split before the selections were checked")

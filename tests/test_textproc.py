@@ -125,6 +125,18 @@ class TestStopwords:
         sw = load_stopwords(p)
         assert "foo" in sw and "bar" in sw
 
+    def test_a_line_is_a_whole_term_so_a_hash_matches_no_token(self, tmp_path):
+        # no line is a comment: a "#" stays in its term, and no token holds
+        # a "#" or a space, so "the # article" leaves "the" in the vocabulary
+        p = tmp_path / "stop.txt"
+        p.write_text("  The # article\n# of\nAND\n", encoding="utf-8")
+        sw = load_stopwords(p)
+        assert sw == {"the # article", "# of", "and"}
+        corpus = ContentCorpus(
+            [ItemDocument("a", {"text": "the of and cat"}), ItemDocument("b", {"text": "the of and dog"})]
+        )
+        assert build_index(corpus, ("text",), sw).vocabulary.terms == ("of", "the")
+
     def test_invalid_utf8_is_located(self, tmp_path):
         p = tmp_path / "stop.txt"
         p.write_bytes(b"the\nna\xefve\n")
@@ -252,7 +264,7 @@ class TestBuildIndex:
 
 class TestIndexLayout:
     """What an index holds per entry: shared weights, unboxed postings and
-    slotted vectors."""
+    slotted, immutable vectors of two tuples."""
 
     def test_documents_share_the_weight_of_a_term_and_count(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
@@ -261,6 +273,39 @@ class TestIndexLayout:
         d1, d3 = index.vector("d1").entries[blue], index.vector("d3").entries[blue]
         assert d1 == math.log(3 / 2)
         assert d1 is d3
+        v1, v3 = index.vector("d1"), index.vector("d3")
+        assert v1.weights[v1.terms.index(blue)] is v3.weights[v3.terms.index(blue)]
+
+    def test_vector_stores_a_term_tuple_and_a_weight_tuple(self):
+        w = 1.5
+        v = SparseVector({3: w, 1: 0.25, 2: 0.0})
+        assert type(v).__slots__ == ("terms", "weights")
+        assert type(v.terms) is tuple and v.terms == (1, 3)
+        assert type(v.weights) is tuple and v.weights == (0.25, 1.5)
+        assert v.weights[1] is w
+
+    def test_changing_the_entries_read_changes_nothing(self, toy_corpus):
+        index = build_index(toy_corpus, ("text",))
+        vec = index.vector("d1")
+        layout, norm, ranked = (vec.terms, vec.weights), vec.norm(), top_k_similar(index, vec, 3)
+        entries = vec.entries
+        entries[next(iter(entries))] = 1e6
+        entries[index.vocabulary.index_of("green")] = 1e6  # a term d1 lacks
+        assert vec.entries != entries
+        assert (vec.terms, vec.weights) == layout
+        assert vec.norm() == norm
+        assert top_k_similar(index, vec, 3) == ranked
+        entries.clear()
+        assert vec and top_k_similar(index, vec, 3) == ranked
+
+    def test_vector_is_immutable(self):
+        v = SparseVector({1: 2.0})
+        for name in ("terms", "weights", "entries", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, ())
+        with pytest.raises(AttributeError):
+            del v.terms
+        assert v.entries == {1: 2.0}
 
     def test_posting_weights_are_double_arrays(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
@@ -271,14 +316,15 @@ class TestIndexLayout:
             assert len(scaled) == len(ids)
 
     def test_vector_is_slotted_and_round_trips(self):
-        # dataclass(slots=True) returns a new class, so a zero-argument
-        # super() inside SparseVector would see the old one: never use it there
+        # an immutable vector pickles and copies through its constructor
         v = SparseVector({3: 1.5, 1: 0.25})
         assert not hasattr(v, "__dict__")
-        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v)):
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
             assert type(twin) is SparseVector
             assert twin == v
+            assert (twin.terms, twin.weights) == ((1, 3), (0.25, 1.5))
             assert list(twin.entries.items()) == [(1, 0.25), (3, 1.5)]
+        assert v != SparseVector({3: 1.5}) and v != SparseVector({3: 1.5, 1: 0.5})
 
 
 class TestVocabulary:
@@ -485,6 +531,16 @@ class TestTopKAgainstOracle:
         got = _top_k(path, index, query, k)
         assert got == _oracle(index, query, k)
         assert got == _top_k("scan", index, query, k) == _top_k("maxscore", index, query, k)
+
+    @pytest.mark.parametrize("path", _SHARES)
+    def test_query_terms_outside_the_vocabulary_add_nothing(self, path):
+        # the index has terms 0..9; 10, 11 and 64 count in the query's norm
+        # but no item carries them
+        index = _index({"a": {0: 1.0, 9: 2.0}, "b": {9: 1.0}, "c": {3: 1.0}, "d": {0: 4.0}})
+        query = SparseVector({9: 1.0, 10: 5.0, 11: 2.0, 64: 3.0})
+        got = _top_k(path, index, query, 3)
+        assert got == _oracle(index, query, 3)
+        assert [item for item, _ in got] == ["b", "a"]
 
     def test_a_query_that_reaches_most_items_switches_to_the_scan(self):
         # t00 (bound 2) reaches a, b and c, 3 of 4 items, and k = 4 partial
