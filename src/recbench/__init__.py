@@ -4,21 +4,12 @@ Load interaction and item-content data, hide part of each evaluation user's
 profile, produce ranked lists with collaborative and content-based
 algorithms, and score them with ranking-quality and coverage metrics across
 cross-validation folds.
+
+The names exported here are the ones README's "Library use" documents; the
+rest is reached through the submodules.
 """
 
-from .corpus import (
-    ContentCorpus,
-    DatasetStats,
-    HoldoutSplit,
-    InteractionDataset,
-    ItemDocument,
-    SplitPlan,
-    compute_stats,
-    load_content,
-    load_interactions,
-    materialize_split,
-    plan_splits,
-)
+from .corpus import InteractionDataset, load_content, load_interactions, materialize_split, plan_splits
 from .errors import (
     ColdStartError,
     ConfigurationError,
@@ -28,32 +19,10 @@ from .errors import (
     RecbenchError,
     UndefinedMetricError,
 )
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    IntersectionRecord,
-    ReportRecord,
-    read_run_lists,
-    run_experiment,
-    selection_label,
-    summarize,
-    write_run_dir,
-)
-from .metrics import (
-    EvalInput,
-    IntersectionReport,
-    MetricReport,
-    average_precision_at_k,
-    evaluate,
-    hit_intersection,
-    jaccard_list_similarity,
-)
+from .harness import ExperimentConfig, ExperimentResult, ReportRecord, run_experiment, summarize, write_run_dir
+from .metrics import evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import (
     ALGORITHMS,
-    CFModel,
-    RecommendationList,
-    SUPModel,
-    UPAModel,
     UserProfile,
     fit_cf,
     fit_sup,
@@ -62,16 +31,7 @@ from .recommenders import (
     recommend_sup,
     recommend_upa,
 )
-from .textproc import (
-    DocumentIndex,
-    SparseVector,
-    Vocabulary,
-    build_index,
-    default_stopwords,
-    load_stopwords,
-    tokenize,
-    top_k_similar,
-)
+from .textproc import build_index, default_stopwords, tokenize
 
 __version__ = "0.1.0"
 
@@ -79,35 +39,17 @@ __all__ = [
     "ALGORITHMS",
     "ColdStartError",
     "ConfigurationError",
-    "ContentCorpus",
-    "CFModel",
-    "DatasetStats",
-    "DocumentIndex",
     "EmptyDatasetError",
-    "EvalInput",
     "ExperimentConfig",
     "ExperimentResult",
-    "HoldoutSplit",
     "InteractionDataset",
-    "IntersectionRecord",
-    "IntersectionReport",
-    "ItemDocument",
-    "MetricReport",
     "ParseError",
     "ProtocolError",
     "RecbenchError",
-    "RecommendationList",
     "ReportRecord",
-    "SUPModel",
-    "SparseVector",
-    "SplitPlan",
-    "UPAModel",
     "UndefinedMetricError",
     "UserProfile",
-    "Vocabulary",
-    "average_precision_at_k",
     "build_index",
-    "compute_stats",
     "default_stopwords",
     "evaluate",
     "fit_cf",
@@ -117,17 +59,13 @@ __all__ = [
     "jaccard_list_similarity",
     "load_content",
     "load_interactions",
-    "load_stopwords",
     "materialize_split",
     "plan_splits",
-    "read_run_lists",
     "recommend_cf",
     "recommend_sup",
     "recommend_upa",
     "run_experiment",
-    "selection_label",
     "summarize",
     "tokenize",
-    "top_k_similar",
     "write_run_dir",
 ]

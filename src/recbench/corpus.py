@@ -163,12 +163,6 @@ class ContentCorpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.documents
-
-    def get(self, item_id: str) -> ItemDocument | None:
-        return self.documents.get(item_id)
-
     def item_ids(self) -> tuple[str, ...]:
         return tuple(self.documents)
 

@@ -22,7 +22,7 @@ from .corpus import (
     plan_splits,
 )
 from .errors import ConfigurationError, RecbenchError, decode_error
-from .metrics import EvalInput, evaluate, hit_intersection, jaccard_list_similarity
+from .metrics import evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import ALGORITHMS, RecommendationList, UserProfile, _positive_int
 from .textproc import (
     build_index,
@@ -387,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     records: list[ReportRecord] = []
     for (algorithm, label, fold), lists in lists_store.items():
         for k in config.k_values:
-            report = evaluate(EvalInput(lists=lists, hidden=hidden_store[fold], catalog=catalog_set, k=k))
+            report = evaluate(lists, hidden_store[fold], catalog_set, k)
             records += (
                 ReportRecord(algorithm, label, fold, k, "map", report.map_at_k),
                 ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty),
@@ -596,7 +596,8 @@ def read_run_lists(run_dir):
 
     Returns ``(lists, hidden)`` where lists maps (algorithm, selection) to
     {user_id: RecommendationList} pooled across folds, and hidden maps
-    user_id to the user's hidden item set. The run's ``config.json`` must
+    user_id to the user's hidden item set; a user ``hidden.csv`` places in
+    two folds is an error. The run's ``config.json`` must
     hold every field and pass ``ExperimentConfig.problems()``; its paths need
     not exist here. The list sets are its ``list_sets()``, and each holds a
     list for every user of ``hidden.csv``: an empty list has no rows in
@@ -617,11 +618,18 @@ def read_run_lists(run_dir):
     if problems:
         raise ConfigurationError(f"{config_path}: {'; '.join(problems)}")
     target_k = max(config.k_values)
+    hidden_path = run / "hidden.csv"
     sets: dict[str, set[str]] = {}
-    for _, (user_id, item_id) in _csv_rows(run / "hidden.csv", ("user_id", "item_id")):
+    folds: dict[str, str] = {}  # each user's fold, as its first row names it
+    for line, (fold, user_id, item_id) in _csv_rows(hidden_path, ("fold", "user_id", "item_id")):
+        if folds.setdefault(user_id, fold) != fold:
+            raise RecbenchError(
+                f"{hidden_path}:{line}: user {user_id!r} is in fold {fold} here "
+                f"but in fold {folds[user_id]} above; a run places each test user in one fold"
+            )
         sets.setdefault(user_id, set()).add(item_id)
     if not sets:
-        raise RecbenchError(f"{run / 'hidden.csv'}: no hidden items, so the run has no test users")
+        raise RecbenchError(f"{hidden_path}: no hidden items, so the run has no test users")
     hidden = {u: frozenset(s) for u, s in sets.items()}
     # (rank, item, score, line) per (algorithm, selection) and user
     rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {

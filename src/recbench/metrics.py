@@ -13,28 +13,6 @@ from .recommenders import RecommendationList
 
 
 @dataclass(frozen=True)
-class EvalInput:
-    """One batch of lists plus the ground truth needed to score them.
-
-    ``lists`` holds a (possibly empty) list for every evaluated user,
-    ``hidden`` the user's withheld items, ``catalog`` the full set of items
-    the system could recommend, and ``k`` the evaluation cutoff.
-    """
-
-    lists: Mapping[str, RecommendationList]
-    hidden: Mapping[str, AbstractSet[str]]
-    catalog: AbstractSet[str]
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        for user_id in self.lists:
-            if user_id not in self.hidden:
-                raise ValueError(f"user {user_id!r} has a list but no hidden set")
-
-
-@dataclass(frozen=True)
 class MetricReport:
     """Aggregate scores for one batch at one cutoff.
 
@@ -81,11 +59,26 @@ def average_precision_at_k(recs: RecommendationList, hidden: AbstractSet[str], k
     return total / min(len(hidden), k)
 
 
-def evaluate(inputs: EvalInput) -> MetricReport:
-    """Compute every list metric for one batch in a single pass."""
-    if not inputs.catalog:
+def evaluate(
+    lists: Mapping[str, RecommendationList],
+    hidden: Mapping[str, AbstractSet[str]],
+    catalog: AbstractSet[str],
+    k: int,
+) -> MetricReport:
+    """Compute every list metric for one batch in a single pass.
+
+    ``lists`` holds a (possibly empty) list for every evaluated user,
+    ``hidden`` the user's withheld items, ``catalog`` the full set of items
+    the system could recommend, and ``k`` the evaluation cutoff.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    for user_id in lists:
+        if user_id not in hidden:
+            raise ValueError(f"user {user_id!r} has a list but no hidden set")
+    if not catalog:
         raise UndefinedMetricError("catalog is empty")
-    users = sorted(inputs.lists)
+    users = sorted(lists)
     if not users:
         raise UndefinedMetricError("no users to evaluate")
     recommended: set[str] = set()
@@ -94,19 +87,19 @@ def evaluate(inputs: EvalInput) -> MetricReport:
     nonempty_total = 0.0
     nonempty_count = 0
     for u in users:
-        lst = inputs.lists[u]
-        ap = average_precision_at_k(lst, inputs.hidden[u], inputs.k)
+        lst = lists[u]
+        ap = average_precision_at_k(lst, hidden[u], k)
         total += ap
-        fill_total += min(len(lst), inputs.k) / inputs.k
+        fill_total += min(len(lst), k) / k
         if len(lst) > 0:
             nonempty_total += ap
             nonempty_count += 1
-        recommended.update(lst.item_ids(inputs.k))
+        recommended.update(lst.item_ids(k))
     return MetricReport(
         map_at_k=total / len(users),
         map_at_k_nonempty=(nonempty_total / nonempty_count) if nonempty_count else 0.0,
         ucov_at_k=fill_total / len(users),
-        ccov_at_k=len(recommended) / len(inputs.catalog),
+        ccov_at_k=len(recommended) / len(catalog),
     )
 
 

@@ -14,13 +14,13 @@ import heapq
 import math
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import gt
 
 from .corpus import InteractionDataset
 from .errors import ColdStartError
-from .textproc import DocumentIndex, SparseVector, top_k_similar
+from .textproc import DocumentIndex, FrozenSlots, SparseVector, top_k_similar
 
 DEFAULT_NEIGHBORHOOD_SIZE = 50
 DEFAULT_PROFILE_TERM_BUDGET = 100
@@ -48,13 +48,14 @@ class UserProfile:
         return cls(user_id=user_id, items=train.profile(user_id))
 
 
-class RecommendationList:
+class RecommendationList(FrozenSlots):
     """A ranked list of ``(item_id, score)`` pairs for one user.
 
     ``target_k`` is the requested length; the list may be shorter when too
     few candidates score above zero. It is built from an iterable of pairs
     but stores them as two columns: the item ids in one tuple and the
-    scores, each passed through ``float()``, in one ``array("d")``, which
+    scores, each passed through ``float()`` and required to be finite and
+    non-increasing, in one ``array("d")``, which
     holds every double exactly at 8 bytes and no float object per entry.
     ``item_ids(k)`` slices the ids tuple; ``scores`` and ``entries`` (the
     pairs) are tuples built on each read. The list is immutable, and
@@ -80,18 +81,15 @@ class RecommendationList:
                 if item_id in seen:
                     raise ValueError(f"duplicate item {item_id!r} in recommendation list")
                 seen.add(item_id)
+        if not all(map(math.isfinite, scores)):
+            item_id, score = next((i, s) for i, s in zip(ids, scores) if not math.isfinite(s))
+            raise ValueError(f"score of item {item_id!r} is not finite: {score!r}")
         if any(map(gt, islice(scores, 1, None), scores)):
             raise ValueError("scores must be non-increasing")
         object.__setattr__(self, "user_id", user_id)
         object.__setattr__(self, "target_k", target_k)
         object.__setattr__(self, "_ids", tuple(ids))
         object.__setattr__(self, "_scores", array("d", scores))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), (self.user_id, self.entries, self.target_k)
@@ -293,8 +291,9 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
             aggregated[t] = aggregated.get(t, 0.0) + w
     if not aggregated:
         return RecommendationList(user_id=user.user_id, entries=(), target_k=k)
-    # term index order is term order, so ties keep the ascending term
-    query = SparseVector(dict(_top(aggregated, model.profile_term_budget)))
+    # term index order is term order, so ties keep the ascending term; the
+    # query holds the chosen terms by ascending index
+    query = SparseVector(*zip(*sorted(_top(aggregated, model.profile_term_budget))))
     entries = _unseen(top_k_similar(model.index, query, k + len(user.items)), user.items, k)
     return RecommendationList(user_id=user.user_id, entries=tuple(entries), target_k=k)
 

@@ -81,35 +81,12 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def index_of(self, term: str) -> int | None:
-        return self._index.get(term)
 
+class FrozenSlots:
+    """Base of a slotted class whose attributes are set once, in ``__init__``
+    through ``object.__setattr__``, and never assigned or deleted after."""
 
-class SparseVector:
-    """Non-zero, finite, non-negative weights keyed by vocabulary term index,
-    held in ascending term-index order whatever order they were given in.
-
-    Built from a mapping of term index to weight, but stored as two tuples:
-    ``terms``, the term indices in ascending order, and ``weights``, each
-    term's weight beside it, the very float objects it was given (an
-    index's vectors share one float per (term, count)). ``entries`` is a
-    dict built on each read, so changing it leaves the vector as it was.
-    The vector is immutable, and equality and ``repr`` go by content.
-    """
-
-    __slots__ = ("terms", "weights")
-
-    def __init__(self, entries: Mapping[int, float]):
-        terms, weights = [], []
-        for i in sorted(entries):
-            w = entries[i]
-            if not 0.0 <= w < math.inf:  # also false for NaN
-                raise ValueError(f"weight for term index {i} is negative or not finite: {w!r}")
-            if w != 0.0:
-                terms.append(i)
-                weights.append(w)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "weights", tuple(weights))
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -117,16 +94,32 @@ class SparseVector:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return type(self), (self.entries,)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms and self.weights == other.weights
+class SparseVector(FrozenSlots):
+    """Positive, finite weights keyed by vocabulary term index.
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(entries={self.entries!r})"
+    Holds two tuples as they were built: ``terms``, the term indices in
+    strictly ascending order, and ``weights``, each term's weight beside it,
+    the very float objects it was given (an index's vectors share one float
+    per (term, count)). ``norm``, the vector's Euclidean length, is summed
+    once over the weights in term order and kept in a slot. ``entries`` is
+    a dict built on each read, so changing it leaves the vector as it was.
+    """
+
+    __slots__ = ("terms", "weights", "norm")
+
+    def __init__(self, terms: Sequence[int], weights: Sequence[float]):
+        terms, weights = tuple(terms), tuple(weights)
+        if any(a >= b for a, b in zip(terms, terms[1:])):
+            raise ValueError("term indices must be strictly ascending")
+        s = 0.0
+        for t, w in zip(terms, weights, strict=True):
+            if not 0.0 < w < math.inf:  # also false for NaN
+                raise ValueError(f"weight for term index {t} is not positive and finite: {w!r}")
+            s += w * w
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "norm", math.sqrt(s))
 
     @property
     def entries(self) -> dict[int, float]:
@@ -138,20 +131,14 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def norm(self) -> float:
-        s = 0.0
-        for w in self.weights:
-            s += w * w
-        return math.sqrt(s)
-
 
 class DocumentIndex:
     """TF-IDF vectors for a document collection plus retrieval structures.
 
-    Holds one vector per item (possibly empty), per-item norms, and an
-    inverted index from term index to the items carrying that term: per
-    term, a tuple of item ids in index order and, beside it, an
-    ``array("d")`` of each item's weight over its norm, 8 bytes a posting
+    Holds one vector per item (possibly empty), each with its norm in its
+    own slot, and an inverted index from term index to the items carrying
+    that term: per term, a tuple of item ids in index order and, beside it,
+    an ``array("d")`` of each item's weight over its norm, 8 bytes a posting
     with no float object. An (item, term) entry is thus a term-index and a
     weight reference in the vector's two tuples plus one posting. Immutable
     once constructed; safe to query concurrently.
@@ -165,16 +152,14 @@ class DocumentIndex:
             for t in vec.terms:
                 if not 0 <= t < n_terms:
                     raise ValueError(f"vector for {item_id!r} uses term index {t} outside the vocabulary")
-        self._norms = {item_id: vec.norm() for item_id, vec in self.vectors.items()}
         # per term, the items carrying it and their weights over the item's
         # norm, in index order; the largest weight is the term's bound
         columns: dict[int, tuple[list[str], array]] = defaultdict(lambda: ([], array("d")))
         for item_id, vec in self.vectors.items():
-            norm = self._norms[item_id]
             for t, w in zip(vec.terms, vec.weights):
                 ids, scaled = columns[t]
                 ids.append(item_id)
-                scaled.append(w / norm)
+                scaled.append(w / vec.norm)
         self._postings = {t: (tuple(ids), scaled) for t, (ids, scaled) in columns.items()}
         self._bounds = {t: max(scaled) for t, (_, scaled) in self._postings.items()}
 
@@ -186,9 +171,6 @@ class DocumentIndex:
 
     def vector(self, item_id: str) -> SparseVector:
         return self.vectors[item_id]
-
-    def norm(self, item_id: str) -> float:
-        return self._norms[item_id]
 
     def postings(self, term_index: int) -> tuple[tuple[str, float], ...]:
         """``(item_id, weight)`` for each item carrying the term, in index order."""
@@ -306,7 +288,8 @@ def build_index(
     vector length normalization is applied, so weights of exactly zero
     (terms present in every document) are simply not stored. The weight is
     computed once per (term, count), and every document with that count of
-    the term holds the same float object.
+    the term holds the same float object. Each vector's term and weight
+    tuples are filled in ascending term order as the document is read.
 
     ``corpus`` is a ``ContentCorpus``, tokenized here over the selected
     attributes only, or the ``TokenizedContent`` of an earlier
@@ -334,7 +317,8 @@ def build_index(
         for tokens in parts:
             for t in tokens:
                 counts[t] = counts.get(t, 0) + 1
-        entries: dict[int, float] = {}
+        doc_terms, doc_weights = [], []
+        # vocabulary indices follow term order, so they come out ascending
         for t in sorted(counts):
             i = index_of.get(t)
             if i is None:
@@ -343,8 +327,9 @@ def build_index(
             if w is None:
                 w = weights[i, counts[t]] = counts[t] * math.log(n_docs / df[t])
             if w != 0.0:
-                entries[i] = w
-        vectors[item_id] = SparseVector(entries)
+                doc_terms.append(i)
+                doc_weights.append(w)
+        vectors[item_id] = SparseVector(doc_terms, doc_weights)
     return DocumentIndex(vocab, vectors)
 
 
@@ -382,7 +367,7 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    qnorm = query.norm()
+    qnorm = query.norm
     if qnorm == 0.0:
         return []
     postings = index._postings
@@ -431,7 +416,6 @@ def _scored(
     for t, qw in zip(query.terms, query.weights):
         if 0 <= t < n_terms:
             dense[t] = qw
-    norms = index._norms
     vectors = index.vectors
     scored = []
     for item_id in item_ids:
@@ -442,5 +426,5 @@ def _scored(
         if d > 0.0:
             # negating a float is exact, so (-score, id) orders exactly as
             # the documented (descending score, ascending id)
-            scored.append((-(d / (qnorm * norms[item_id])), item_id))
+            scored.append((-(d / (qnorm * vec.norm)), item_id))
     return [(item_id, -neg) for neg, item_id in heapq.nsmallest(k, scored)]

@@ -1,6 +1,7 @@
 import pytest
 
-from recbench import ContentCorpus, InteractionDataset, ItemDocument
+from recbench import InteractionDataset
+from recbench.corpus import ContentCorpus, ItemDocument
 
 
 @pytest.fixture

@@ -15,15 +15,9 @@ import time
 import pytest
 
 from recbench import (
-    ContentCorpus,
-    DatasetStats,
-    EvalInput,
     ExperimentConfig,
-    ItemDocument,
-    RecommendationList,
     UserProfile,
     build_index,
-    compute_stats,
     evaluate,
     fit_cf,
     fit_sup,
@@ -39,6 +33,8 @@ from recbench import (
     run_experiment,
     write_run_dir,
 )
+from recbench.corpus import ContentCorpus, DatasetStats, ItemDocument, compute_stats
+from recbench.recommenders import RecommendationList
 from conftest import as_term_dicts, dataset
 from oracles import (
     oracle_ap,
@@ -240,7 +236,7 @@ def test_2_metric_oracle_equivalence():
             ids_a = {u: lists_a[u].item_ids() for u in users}
             ids_b = {u: lists_b[u].item_ids() for u in users}
 
-            report = evaluate(EvalInput(lists=lists_a, hidden=hidden, catalog=catalog, k=k))
+            report = evaluate(lists_a, hidden, catalog, k)
             assert abs(report.map_at_k - oracle_map(ids_a, hidden, k)) <= 1e-12
             assert abs(report.ucov_at_k - oracle_ucov(ids_a, k)) <= 1e-12
             assert abs(report.ccov_at_k - oracle_ccov(ids_a, catalog, k)) <= 1e-12
@@ -268,7 +264,7 @@ def test_3_trivial_bounds():
         hidden = {u: frozenset({f"h{u}{n}" for n in range(3)}) for u in users}
         perfect = {u: ranked(u, sorted(hidden[u]), 3) for u in users}
         catalog = {i for s in hidden.values() for i in s} | {"pad"}
-        report = evaluate(EvalInput(lists=perfect, hidden=hidden, catalog=catalog, k=3))
+        report = evaluate(perfect, hidden, catalog, 3)
         assert report.map_at_k == 1.0
         assert report.ucov_at_k == 1.0
 

@@ -319,6 +319,8 @@ class TestCompare:
                 ("non-integer-rank", "lists.csv:2:", "rank 'first' is not an integer"),
                 ("non-numeric-score", "lists.csv:2:", "score 'high' is not a number"),
                 ("repeated-item", "lists.csv:2:", "duplicate item"),
+                ("nan-score", "lists.csv:2:", "is not finite: nan"),
+                ("infinite-score", "lists.csv:2:", "is not finite: inf"),
             )
         ],
     )
@@ -334,6 +336,9 @@ class TestCompare:
             first[header.index("rank")] = "first"
         elif case == "non-numeric-score":
             first[header.index("score")] = "high"
+        elif case in ("nan-score", "infinite-score"):
+            # a NaN compares false with its neighbours, so only a finiteness check finds it
+            first[header.index("score")] = "nan" if case == "nan-score" else "inf"
         else:
             assert first[:4] == second[:4], "the first two rows should hold one user's list"
             second[header.index("item_id")] = first[header.index("item_id")]
@@ -498,6 +503,7 @@ class TestCompare:
             for case, location, fragment in (
                 ("user-without-hidden-set", "lists.csv:2:", "in the run's config.json and hidden.csv"),
                 ("no-hidden-rows", "hidden.csv:", "the run has no test users"),
+                ("user-in-two-folds", "hidden.csv:", "but in fold 0 above; a run places each test user in one fold"),
                 ("unconfigured-list-set", "lists.csv:2:", "no upa/all list of user"),
                 ("malformed-algorithms", "config.json:", "algorithms must be a non-empty mapping"),
                 ("malformed-selections", "config.json:", 'attribute selection must be "all" or'),
@@ -513,11 +519,16 @@ class TestCompare:
             rows = list(csv.reader(fh))
         header, first = rows[:2]
         config = json.loads((broken / "config.json").read_text())
-        if case in ("user-without-hidden-set", "no-hidden-rows"):
+        if case in ("user-without-hidden-set", "no-hidden-rows", "user-in-two-folds"):
             with open(broken / "hidden.csv", encoding="utf-8", newline="") as fh:
                 hidden_rows = list(csv.reader(fh))
             if case == "no-hidden-rows":
                 kept = hidden_rows[:1]
+            elif case == "user-in-two-folds":
+                # fold 0's first user gets one more hidden item, in fold 1
+                fold, user, _ = hidden_rows[1]
+                assert fold == "0"
+                kept = [*hidden_rows, ["1", user, "an-item-of-fold-1"]]
             else:
                 user = first[header.index("user_id")]
                 kept = [row for row in hidden_rows if row[1] != user]

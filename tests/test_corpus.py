@@ -7,16 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recbench import (
-    DatasetStats,
     EmptyDatasetError,
     ParseError,
     ProtocolError,
-    compute_stats,
     load_content,
     load_interactions,
     materialize_split,
     plan_splits,
 )
+from recbench.corpus import DatasetStats, compute_stats
 
 from conftest import dataset
 
@@ -183,7 +182,7 @@ class TestLoadContent:
             '{"item_id": "m2", "attributes": {"title": "Alien"}}\n'
         )
         corpus = load_content(p)
-        assert corpus.get("m1").attributes["year"] == "1995"
+        assert corpus.documents["m1"].attributes["year"] == "1995"
         assert corpus.attribute_names() == ("title", "year")
         assert corpus.missing_items(["m1", "m3"]) == ("m3",)
 
@@ -195,7 +194,7 @@ class TestLoadContent:
         )
         corpus = load_content(p)
         assert len(corpus) == 1
-        assert corpus.get("m1").attributes["title"] == "new"
+        assert corpus.documents["m1"].attributes["title"] == "new"
 
     def test_bad_json_line_is_located(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -11,15 +11,14 @@ from recbench import (
     ConfigurationError,
     ExperimentConfig,
     ExperimentResult,
-    IntersectionRecord,
-    RecommendationList,
+    RecbenchError,
     ReportRecord,
-    read_run_lists,
     run_experiment,
-    selection_label,
     summarize,
     write_run_dir,
 )
+from recbench.harness import IntersectionRecord, read_run_lists, selection_label
+from recbench.recommenders import RecommendationList
 from recbench import harness
 
 import synth
@@ -462,3 +461,14 @@ class TestRunDir:
         # the lists were cut at the run's largest k, which config.json records
         assert {lst.target_k for lst in pooled.values()} == {max(cfg.k_values)}
         assert read_hidden == {"u1": {"x"}, "u2": {"y"}, "u3": {"c", "z"}}
+
+    def test_a_user_in_two_folds_is_rejected(self, tmp_path):
+        # a run places each test user in one fold; pooling the folds would
+        # silently merge the two hidden sets into one
+        lists = {("cf", "-", fold): {"u1": RecommendationList("u1", (), target_k=5)} for fold in (0, 1)}
+        hidden = {0: {"u1": frozenset({"x"})}, 1: {"u1": frozenset({"y"})}}
+        result = ExperimentResult(records=[], intersections=[], lists=lists, hidden=hidden, catalog=("x",))
+        cfg = ExperimentConfig(interactions_path="unused.tsv", algorithms={"cf": {}})
+        write_run_dir(result, cfg, tmp_path / "run")
+        with pytest.raises(RecbenchError, match=r"hidden.csv:3: user 'u1' is in fold 1 here but in fold 0 above"):
+            read_run_lists(tmp_path / "run")

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recbench import (
-    EvalInput,
-    RecommendationList,
-    UndefinedMetricError,
-    average_precision_at_k,
-    evaluate,
-    hit_intersection,
-    jaccard_list_similarity,
-)
+from recbench import UndefinedMetricError, evaluate, hit_intersection, jaccard_list_similarity
+from recbench.metrics import average_precision_at_k
+from recbench.recommenders import RecommendationList
 
 from oracles import (
     oracle_ap,
@@ -64,35 +58,31 @@ class TestAveragePrecision:
 
 class TestBatchMetrics:
     def test_map_counts_empty_lists(self):
-        inp = EvalInput(
+        report = evaluate(
             lists={"u1": rl("u1", ["a"]), "u2": rl("u2", [])},
             hidden={"u1": {"a"}, "u2": {"a"}},
             catalog=set(ITEMS),
             k=5,
         )
-        report = evaluate(inp)
         assert report.map_at_k == 0.5
         assert report.map_at_k_nonempty == 1.0
 
     def test_ucov_hand_value(self):
         wide = [f"w{j}" for j in range(10)]
-        inp = EvalInput(
+        report = evaluate(
             lists={"u1": rl("u1", wide, k=10), "u2": rl("u2", wide[:5], k=10)},
             hidden={"u1": {"w0"}, "u2": {"w0"}},
             catalog=set(wide),
             k=10,
         )
-        assert evaluate(inp).ucov_at_k == 0.75
+        assert report.ucov_at_k == 0.75
 
     def test_ucov_all_empty(self):
-        inp = EvalInput(
-            lists={"u1": rl("u1", [])}, hidden={"u1": {"a"}}, catalog={"a"}, k=3
-        )
-        assert evaluate(inp).ucov_at_k == 0.0
+        assert evaluate({"u1": rl("u1", [])}, {"u1": {"a"}}, {"a"}, 3).ucov_at_k == 0.0
 
     def test_ccov_hand_value(self):
         catalog = {f"c{j}" for j in range(10)}
-        inp = EvalInput(
+        report = evaluate(
             lists={
                 "u1": rl("u1", ["c1", "c2"]),
                 "u2": rl("u2", ["c2", "c3", "c4"]),
@@ -101,33 +91,33 @@ class TestBatchMetrics:
             catalog=catalog,
             k=5,
         )
-        assert evaluate(inp).ccov_at_k == 0.4
+        assert report.ccov_at_k == 0.4
 
     def test_ccov_union_is_idempotent(self):
         same = ["c1", "c2", "c3"]
-        inp = EvalInput(
+        report = evaluate(
             lists={f"u{n}": rl(f"u{n}", same) for n in range(4)},
             hidden={f"u{n}": {"c1"} for n in range(4)},
             catalog={f"c{j}" for j in range(6)},
             k=5,
         )
-        assert evaluate(inp).ccov_at_k == 0.5
+        assert report.ccov_at_k == 0.5
 
     def test_no_users_is_undefined(self):
-        inp = EvalInput(lists={}, hidden={}, catalog={"a"}, k=5)
         with pytest.raises(UndefinedMetricError):
-            evaluate(inp)
+            evaluate({}, {}, {"a"}, 5)
 
     def test_empty_catalog_is_undefined(self):
-        inp = EvalInput(
-            lists={"u": rl("u", ["a"])}, hidden={"u": {"a"}}, catalog=set(), k=5
-        )
         with pytest.raises(UndefinedMetricError):
-            evaluate(inp)
+            evaluate({"u": rl("u", ["a"])}, {"u": {"a"}}, set(), 5)
 
     def test_list_without_hidden_rejected(self):
-        with pytest.raises(ValueError):
-            EvalInput(lists={"u": rl("u", ["a"])}, hidden={}, catalog={"a"}, k=5)
+        with pytest.raises(ValueError, match="user 'u' has a list but no hidden set"):
+            evaluate({"u": rl("u", ["a"])}, {}, {"a"}, 5)
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate({"u": rl("u", ["a"])}, {"u": {"a"}}, {"a"}, 0)
 
     def test_evaluate_matches_individual_functions_exactly(self):
         rng = random.Random(77)
@@ -138,21 +128,21 @@ class TestBatchMetrics:
                 items = rng.sample(ITEMS, rng.randint(0, 8))
                 lists[uid] = rl(uid, items)
                 hidden[uid] = frozenset(rng.sample(ITEMS, rng.randint(1, 3)))
-            inp = EvalInput(lists=lists, hidden=hidden, catalog=set(ITEMS), k=rng.randint(1, 8))
-            report = evaluate(inp)
+            k = rng.randint(1, 8)
+            report = evaluate(lists, hidden, set(ITEMS), k)
             # the means accumulate per-user values in ascending user order
             total = nonempty_total = 0.0
             nonempty = 0
             for uid in sorted(lists):
-                ap = average_precision_at_k(lists[uid], hidden[uid], inp.k)
+                ap = average_precision_at_k(lists[uid], hidden[uid], k)
                 total += ap
                 if len(lists[uid]):
                     nonempty_total += ap
                     nonempty += 1
             assert report.map_at_k == total / len(lists)
             assert report.map_at_k_nonempty == (nonempty_total / nonempty if nonempty else 0.0)
-            assert report.ucov_at_k == oracle_ucov(ids_of(lists), inp.k)
-            assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, inp.k)
+            assert report.ucov_at_k == oracle_ucov(ids_of(lists), k)
+            assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, k)
 
 
 class TestJaccard:
@@ -237,8 +227,7 @@ def ids_of(lists):
 @given(instances())
 def test_batch_metrics_match_oracles_exactly(instance):
     lists, hidden, k = instance
-    inp = EvalInput(lists=lists, hidden=hidden, catalog=set(ITEMS), k=k)
-    report = evaluate(inp)
+    report = evaluate(lists, hidden, set(ITEMS), k)
     assert report.map_at_k == oracle_map(ids_of(lists), hidden, k)
     assert report.ucov_at_k == oracle_ucov(ids_of(lists), k)
     assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, k)
@@ -301,6 +290,5 @@ def test_ccov_never_decreases_with_k(instance):
     lists, hidden, _ = instance
     values = []
     for k in range(1, 9):
-        inp = EvalInput(lists=lists, hidden=hidden, catalog=set(ITEMS), k=k)
-        values.append(evaluate(inp).ccov_at_k)
+        values.append(evaluate(lists, hidden, set(ITEMS), k).ccov_at_k)
     assert values == sorted(values)

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 
 from recbench import (
     ColdStartError,
-    ContentCorpus,
-    ItemDocument,
-    RecommendationList,
     UserProfile,
     build_index,
     fit_cf,
@@ -23,9 +20,11 @@ from recbench import (
     recommend_cf,
     recommend_sup,
     recommend_upa,
-    top_k_similar,
 )
 from recbench import recommenders
+from recbench.corpus import ContentCorpus, ItemDocument
+from recbench.recommenders import RecommendationList
+from recbench.textproc import top_k_similar
 
 from conftest import as_term_dicts, dataset
 from oracles import oracle_cf, oracle_cf_neighbors, oracle_cf_similarity, oracle_sup, oracle_upa
@@ -50,6 +49,15 @@ class TestRecommendationList:
     def test_scores_must_not_increase(self):
         with pytest.raises(ValueError, match="non-increasing"):
             RecommendationList("u", (("a", 1.0), ("b", 2.0)), target_k=5)
+
+    @pytest.mark.parametrize(
+        "scores", [(1.0, math.nan, 3.0), (math.nan,), (math.inf, 1.0), (2.0, -math.inf)], ids=str
+    )
+    def test_non_finite_scores_rejected(self, scores):
+        # every comparison with a NaN is false, so the order check alone passes (1.0, nan, 3.0)
+        entries = [(f"i{n}", score) for n, score in enumerate(scores)]
+        with pytest.raises(ValueError, match=r"score of item 'i\d' is not finite"):
+            RecommendationList("u", entries, target_k=5)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
