@@ -139,26 +139,13 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
     return InteractionDataset(profiles, items)
 
 
-@dataclass(frozen=True)
-class ItemDocument:
-    """Free-text content for one item, keyed by attribute name."""
-
-    item_id: str
-    attributes: Mapping[str, str]
-
-    def __post_init__(self):
-        if not self.item_id:
-            raise ValueError("item_id must be a non-empty string")
-        object.__setattr__(self, "attributes", dict(self.attributes))
-
-
 class ContentCorpus:
-    """Item documents keyed by item id; read-only after construction."""
+    """Item content: ``documents`` maps each item id, in load order, to its
+    ``{attribute: text}`` dict. The dict given is adopted as it is, not
+    copied; read-only after construction."""
 
-    def __init__(self, documents: Iterable[ItemDocument]):
-        self.documents: dict[str, ItemDocument] = {}
-        for doc in documents:
-            self.documents[doc.item_id] = doc
+    def __init__(self, documents: dict[str, dict[str, str]]):
+        self.documents = documents
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -168,24 +155,21 @@ class ContentCorpus:
 
     def attribute_names(self) -> tuple[str, ...]:
         names: set[str] = set()
-        for doc in self.documents.values():
-            names.update(doc.attributes)
+        for attributes in self.documents.values():
+            names.update(attributes)
         return tuple(sorted(names))
-
-    def missing_items(self, item_ids: Iterable[str]) -> tuple[str, ...]:
-        """Item ids from ``item_ids`` that have no document here."""
-        return tuple(sorted(i for i in set(item_ids) if i not in self.documents))
 
 
 def load_content(path) -> ContentCorpus:
-    """Read item documents from a JSON-lines file.
+    """Read item documents from a JSON-lines file into a ``ContentCorpus``
+    whose ``documents`` maps each item id to its ``{attribute: text}`` dict.
 
     Each line is an object ``{"item_id": ..., "attributes": {name: text}}``.
     Scalar attribute values are coerced to strings; blank lines are skipped
     and a repeated item_id keeps its last document. A string that escapes a
     lone surrogate (``"\\ud800"``) cannot be written as UTF-8 and is an error.
     """
-    docs: dict[str, ItemDocument] = {}
+    docs: dict[str, dict[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in _numbered_lines(fh, path):
             line = raw.strip()
@@ -221,10 +205,10 @@ def load_content(path) -> ContentCorpus:
                     raise ParseError(
                         f"attribute {name!r} must be text or a number", path=str(path), line=lineno
                     )
-            docs[item_id] = ItemDocument(item_id=item_id, attributes=clean)
+            docs[item_id] = clean
     if not docs:
         raise EmptyDatasetError(f"{path}: no item documents")
-    return ContentCorpus(docs.values())
+    return ContentCorpus(docs)
 
 
 @dataclass(frozen=True)
@@ -302,7 +286,6 @@ class SplitPlan:
 
     fold_count: int
     given_n: int
-    min_train_items: int
     rng_seed: int
     folds: Mapping[str, int]
 
@@ -347,7 +330,6 @@ def plan_splits(
     return SplitPlan(
         fold_count=fold_count,
         given_n=given_n,
-        min_train_items=min_train_items,
         rng_seed=rng_seed,
         folds=folds,
     )

@@ -326,9 +326,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     selections: list[tuple[str, ...]] = []
     if content_algorithms:
         corpus = load_content(config.content_path)
-        gaps = corpus.missing_items(ds.items)
+        gaps = len(set(ds.items).difference(corpus.documents))
         if gaps:
-            log.info("%d of %d items have no content document", len(gaps), ds.n_items)
+            log.info("%d of %d items have no content document", gaps, ds.n_items)
         stopwords = (
             load_stopwords(config.stopwords_path) if config.stopwords_path else default_stopwords()
         )
@@ -606,6 +606,8 @@ def read_run_lists(run_dir):
     Both files are read by column name through ``_csv_rows``, so a row with
     more or fewer fields than its header is an error there.
     A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
+    A list ``RecommendationList`` rejects is an error at the row that breaks
+    the rule: a non-finite score, a repeated item or a rising score.
     """
     run = Path(run_dir)
     config_path = run / "config.json"
@@ -665,18 +667,26 @@ def read_run_lists(run_dir):
                         f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
                     )
             try:
-                # the constructor reads the pairs once into its id and score columns
-                lists[key][user_id] = RecommendationList(
-                    user_id=user_id,
-                    entries=((item_id, score) for _, item_id, score, _ in rows),
-                    target_k=target_k,
-                )
-            except ValueError as exc:
-                first = min(line for *_, line in rows)
-                raise RecbenchError(
-                    f"{lists_path}:{first}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
-                ) from None
+                lists[key][user_id] = _ranked(user_id, rows, target_k)
+            except ValueError:
+                # a rule the constructor checks, once broken, stays broken in every
+                # longer prefix: the shortest prefix it rejects ends at the row
+                # that breaks it (none, for a rule on the list as a whole)
+                for n in range(len(rows) + 1):
+                    try:
+                        _ranked(user_id, rows[:n], target_k)
+                    except ValueError as exc:
+                        where = f"{lists_path}:{rows[n - 1][3]}" if n else lists_path
+                        raise RecbenchError(
+                            f"{where}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
+                        ) from None
     return lists, hidden
+
+
+def _ranked(user_id, rows, target_k):
+    """The ``RecommendationList`` of ``(rank, item, score, line)`` rows in rank order."""
+    # the constructor reads the pairs once into its id and score columns
+    return RecommendationList(user_id, ((item_id, score) for _, item_id, score, _ in rows), target_k)
 
 
 def _csv_rows(path, columns):

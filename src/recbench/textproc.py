@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from importlib import resources
 from itertools import accumulate, chain
 
@@ -53,33 +53,6 @@ def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package."""
     text = resources.files("recbench").joinpath("data/stopwords_en.txt").read_text("utf-8")
     return _parse_stopword_lines(text)
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """Retained terms in sorted order, with document frequencies.
-
-    Term indices are positions in ``terms``; ``n_docs`` is the total number
-    of documents the vocabulary was built from.
-    """
-
-    terms: tuple[str, ...]
-    df: Mapping[str, int]
-    n_docs: int
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n_docs < 1:
-            raise ValueError("n_docs must be >= 1")
-        if any(a >= b for a, b in zip(self.terms, self.terms[1:])):
-            raise ValueError("terms must be strictly ascending")
-        for t in self.terms:
-            if t not in self.df:
-                raise ValueError(f"term {t!r} has no document frequency")
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terms)})
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class FrozenSlots:
@@ -140,11 +113,13 @@ class DocumentIndex:
     that term: per term, a tuple of item ids in index order and, beside it,
     an ``array("d")`` of each item's weight over its norm, 8 bytes a posting
     with no float object. An (item, term) entry is thus a term-index and a
-    weight reference in the vector's two tuples plus one posting. Immutable
-    once constructed; safe to query concurrently.
+    weight reference in the vector's two tuples plus one posting.
+    ``vocabulary`` is the ascending tuple of retained terms, and a term's
+    index is its position in it. Immutable once constructed; safe to query
+    concurrently.
     """
 
-    def __init__(self, vocabulary: Vocabulary, vectors: Mapping[str, SparseVector]):
+    def __init__(self, vocabulary: tuple[str, ...], vectors: Mapping[str, SparseVector]):
         self.vocabulary = vocabulary
         self.vectors: dict[str, SparseVector] = dict(vectors)
         n_terms = len(vocabulary)
@@ -267,9 +242,9 @@ def tokenize_content(
     for a in sorted(names):
         columns[a] = [
             tuple([share(t, t) for t in tokenize(text) if t not in stopwords])
-            if (text := doc.attributes.get(a))
+            if (text := attributes.get(a))
             else ()
-            for doc in corpus.documents.values()
+            for attributes in corpus.documents.values()
         ]
     return TokenizedContent(corpus.item_ids(), columns, stopwords)
 
@@ -288,12 +263,15 @@ def build_index(
     vector length normalization is applied, so weights of exactly zero
     (terms present in every document) are simply not stored. The weight is
     computed once per (term, count), and every document with that count of
-    the term holds the same float object. Each vector's term and weight
-    tuples are filled in ascending term order as the document is read.
+    the term holds the same float object. The index's ``vocabulary`` is the
+    ascending tuple of retained terms, and a term's index is its position
+    in it; each vector's term and weight tuples are filled in ascending term
+    order as the document is read.
 
-    ``corpus`` is a ``ContentCorpus``, tokenized here over the selected
-    attributes only, or the ``TokenizedContent`` of an earlier
-    ``tokenize_content`` pass over them with the same ``stopwords``.
+    ``corpus`` is a ``ContentCorpus`` (``documents`` maps each item id to
+    ``{attribute: text}``), tokenized here over the selected attributes
+    only, or the ``TokenizedContent`` of an earlier ``tokenize_content``
+    pass over them, and possibly more, with the same ``stopwords``.
     """
     if not isinstance(corpus, TokenizedContent):
         corpus = tokenize_content(corpus, attribute_selection, stopwords)
@@ -308,8 +286,7 @@ def build_index(
     if not terms:
         raise ConfigurationError(empty_vocabulary("+".join(selection)))
     n_docs = len(corpus)
-    vocab = Vocabulary(terms=terms, df={t: df[t] for t in terms}, n_docs=n_docs)
-    index_of = vocab._index
+    index_of = {t: i for i, t in enumerate(terms)}
     weights: dict[tuple[int, int], float] = {}
     vectors: dict[str, SparseVector] = {}
     for item_id, *parts in zip(corpus.item_ids, *columns):
@@ -330,7 +307,7 @@ def build_index(
                 doc_terms.append(i)
                 doc_weights.append(w)
         vectors[item_id] = SparseVector(doc_terms, doc_weights)
-    return DocumentIndex(vocab, vectors)
+    return DocumentIndex(terms, vectors)
 
 
 # relative allowance for rounding in the pruning bounds and partial sums,

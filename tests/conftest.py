@@ -1,18 +1,18 @@
 import pytest
 
 from recbench import InteractionDataset
-from recbench.corpus import ContentCorpus, ItemDocument
+from recbench.corpus import ContentCorpus
 
 
 @pytest.fixture
 def toy_corpus():
     """Three tiny documents over the vocabulary {blue, green, red}."""
     return ContentCorpus(
-        [
-            ItemDocument("d1", {"text": "red red blue"}),
-            ItemDocument("d2", {"text": "red green green"}),
-            ItemDocument("d3", {"text": "blue green"}),
-        ]
+        {
+            "d1": {"text": "red red blue"},
+            "d2": {"text": "red green green"},
+            "d3": {"text": "blue green"},
+        }
     )
 
 
@@ -41,7 +41,7 @@ def dataset(rows):
 
 def as_term_dicts(index):
     """Re-key an index's vectors by term string for the brute-force oracles."""
-    terms = index.vocabulary.terms
+    terms = index.vocabulary
     return {
         item: {terms[i]: w for i, w in vec.entries.items()}
         for item, vec in index.vectors.items()

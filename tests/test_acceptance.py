@@ -33,7 +33,7 @@ from recbench import (
     run_experiment,
     write_run_dir,
 )
-from recbench.corpus import ContentCorpus, DatasetStats, ItemDocument, compute_stats
+from recbench.corpus import ContentCorpus, DatasetStats, compute_stats
 from recbench.recommenders import RecommendationList
 from conftest import as_term_dicts, dataset
 from oracles import (
@@ -281,10 +281,10 @@ def test_3_trivial_bounds():
 
 def _random_content(rng, n_items):
     pool = [f"w{j:02d}" for j in range(12)]
-    docs = []
+    docs = {}
     for n in range(n_items):
         words = rng.choices(pool, k=rng.randint(3, 12))
-        docs.append(ItemDocument(f"i{n:02d}", {"text": " ".join(words)}))
+        docs[f"i{n:02d}"] = {"text": " ".join(words)}
     return ContentCorpus(docs)
 
 

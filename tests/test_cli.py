@@ -318,9 +318,11 @@ class TestCompare:
                 ("missing-column", "lists.csv:1:", "missing column(s) score"),
                 ("non-integer-rank", "lists.csv:2:", "rank 'first' is not an integer"),
                 ("non-numeric-score", "lists.csv:2:", "score 'high' is not a number"),
-                ("repeated-item", "lists.csv:2:", "duplicate item"),
+                ("repeated-item", "lists.csv:3:", "duplicate item"),
                 ("nan-score", "lists.csv:2:", "is not finite: nan"),
                 ("infinite-score", "lists.csv:2:", "is not finite: inf"),
+                ("rank-2-nan-score", "lists.csv:3:", "is not finite: nan"),
+                ("rank-2-score-rises", "lists.csv:3:", "non-increasing"),
             )
         ],
     )
@@ -340,8 +342,15 @@ class TestCompare:
             # a NaN compares false with its neighbours, so only a finiteness check finds it
             first[header.index("score")] = "nan" if case == "nan-score" else "inf"
         else:
+            # each of these breaks the rule at rank 2, the row the error must name
             assert first[:4] == second[:4], "the first two rows should hold one user's list"
-            second[header.index("item_id")] = first[header.index("item_id")]
+            score = header.index("score")
+            if case == "rank-2-nan-score":
+                second[score] = "nan"
+            elif case == "rank-2-score-rises":
+                second[score] = repr(float(first[score]) + 1.0)
+            else:
+                second[header.index("item_id")] = first[header.index("item_id")]
         with open(broken / "lists.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         proc = run_cli(
@@ -504,6 +513,8 @@ class TestCompare:
                 ("user-without-hidden-set", "lists.csv:2:", "in the run's config.json and hidden.csv"),
                 ("no-hidden-rows", "hidden.csv:", "the run has no test users"),
                 ("user-in-two-folds", "hidden.csv:", "but in fold 0 above; a run places each test user in one fold"),
+                # the user's lists have no row to name, so the file is named
+                ("empty-hidden-user-id", "lists.csv: the cf/- list of user ''", "user_id must be a non-empty string"),
                 ("unconfigured-list-set", "lists.csv:2:", "no upa/all list of user"),
                 ("malformed-algorithms", "config.json:", "algorithms must be a non-empty mapping"),
                 ("malformed-selections", "config.json:", 'attribute selection must be "all" or'),
@@ -519,7 +530,7 @@ class TestCompare:
             rows = list(csv.reader(fh))
         header, first = rows[:2]
         config = json.loads((broken / "config.json").read_text())
-        if case in ("user-without-hidden-set", "no-hidden-rows", "user-in-two-folds"):
+        if case in ("user-without-hidden-set", "no-hidden-rows", "user-in-two-folds", "empty-hidden-user-id"):
             with open(broken / "hidden.csv", encoding="utf-8", newline="") as fh:
                 hidden_rows = list(csv.reader(fh))
             if case == "no-hidden-rows":
@@ -529,6 +540,8 @@ class TestCompare:
                 fold, user, _ = hidden_rows[1]
                 assert fold == "0"
                 kept = [*hidden_rows, ["1", user, "an-item-of-fold-1"]]
+            elif case == "empty-hidden-user-id":
+                kept = [*hidden_rows, ["0", "", "an-item"]]
             else:
                 user = first[header.index("user_id")]
                 kept = [row for row in hidden_rows if row[1] != user]

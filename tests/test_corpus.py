@@ -182,9 +182,8 @@ class TestLoadContent:
             '{"item_id": "m2", "attributes": {"title": "Alien"}}\n'
         )
         corpus = load_content(p)
-        assert corpus.documents["m1"].attributes["year"] == "1995"
+        assert corpus.documents == {"m1": {"title": "Heat", "year": "1995"}, "m2": {"title": "Alien"}}
         assert corpus.attribute_names() == ("title", "year")
-        assert corpus.missing_items(["m1", "m3"]) == ("m3",)
 
     def test_duplicate_item_last_wins(self, tmp_path):
         p = tmp_path / "c.jsonl"
@@ -194,7 +193,7 @@ class TestLoadContent:
         )
         corpus = load_content(p)
         assert len(corpus) == 1
-        assert corpus.documents["m1"].attributes["title"] == "new"
+        assert corpus.documents == {"m1": {"title": "new"}}
 
     def test_bad_json_line_is_located(self, tmp_path):
         p = tmp_path / "c.jsonl"

@@ -278,6 +278,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=r"selection title: vocabulary is empty"):
             run_experiment(cfg)
 
+    def test_items_without_a_document_are_counted(self, paths, caplog):
+        # 7 of the 60 rated items lose their document; a content-only item is no gap
+        content = Path(paths[1])
+        lines = content.read_text().splitlines(keepends=True)[7:]
+        lines.append(json.dumps({"item_id": "extra", "attributes": {"plot": "t0w0 t0w1"}}) + "\n")
+        content.write_text("".join(lines))
+        with caplog.at_level("INFO", logger="recbench"):
+            run_experiment(make_config(paths, algorithms={"upa": {}}, k_values=[5]))
+        assert "7 of 60 items have no content document" in caplog.messages
+
     def test_attribute_selections_run_separately(self, paths):
         cfg = make_config(
             paths,

@@ -22,7 +22,7 @@ from recbench import (
     recommend_upa,
 )
 from recbench import recommenders
-from recbench.corpus import ContentCorpus, ItemDocument
+from recbench.corpus import ContentCorpus
 from recbench.recommenders import RecommendationList
 from recbench.textproc import top_k_similar
 
@@ -324,11 +324,11 @@ class TestUPA:
 
     def test_budget_tie_keeps_ascending_term(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("d1", {"text": "aa bb"}),
-                ItemDocument("d2", {"text": "aa xx"}),
-                ItemDocument("d3", {"text": "bb yy"}),
-            ]
+            {
+                "d1": {"text": "aa bb"},
+                "d2": {"text": "aa xx"},
+                "d3": {"text": "bb yy"},
+            }
         )
         model = fit_upa(build_index(corpus, ("text",)), profile_term_budget=1)
         # aggregated weights for aa and bb tie; the query must keep "aa"
@@ -337,11 +337,11 @@ class TestUPA:
 
     def test_profile_without_content_yields_empty_list(self, toy_index):
         corpus = ContentCorpus(
-            [
-                ItemDocument("d1", {"text": "shared stuff"}),
-                ItemDocument("d2", {"text": "shared stuff"}),
-                ItemDocument("d3", {"text": "rare"}),
-            ]
+            {
+                "d1": {"text": "shared stuff"},
+                "d2": {"text": "shared stuff"},
+                "d3": {"text": "rare"},
+            }
         )
         model = fit_upa(build_index(corpus, ("text",)))
         lst = recommend_upa(model, UserProfile("u", {"d3": 1.0, "ghost": 1.0}), 5)
@@ -354,12 +354,12 @@ class TestUPA:
 
     def test_profile_excluded_before_cutoff(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("v", {"text": "aa bb"}),
-                ItemDocument("p", {"text": "aa bb"}),
-                ItemDocument("c", {"text": "aa"}),
-                ItemDocument("other", {"text": "dd"}),
-            ]
+            {
+                "v": {"text": "aa bb"},
+                "p": {"text": "aa bb"},
+                "c": {"text": "aa"},
+                "other": {"text": "dd"},
+            }
         )
         model = fit_upa(build_index(corpus, ("text",)))
         # v and p outrank c; with both excluded first, c still takes the single slot
@@ -376,12 +376,12 @@ class TestSUP:
 
     def test_profile_excluded_before_cutoff(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("v", {"text": "aa bb"}),
-                ItemDocument("p", {"text": "aa bb"}),
-                ItemDocument("c", {"text": "aa"}),
-                ItemDocument("other", {"text": "dd"}),
-            ]
+            {
+                "v": {"text": "aa bb"},
+                "p": {"text": "aa bb"},
+                "c": {"text": "aa"},
+                "other": {"text": "dd"},
+            }
         )
         index = build_index(corpus, ("text",))
         model = fit_sup(index, votes_per_item=1)
@@ -393,12 +393,12 @@ class TestSUP:
 
     def test_votes_per_item_caps_nominations(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("voter", {"text": "aa bb cc"}),
-                ItemDocument("close", {"text": "aa bb cc"}),
-                ItemDocument("far", {"text": "aa zz zz zz"}),
-                ItemDocument("pad", {"text": "zz"}),
-            ]
+            {
+                "voter": {"text": "aa bb cc"},
+                "close": {"text": "aa bb cc"},
+                "far": {"text": "aa zz zz zz"},
+                "pad": {"text": "zz"},
+            }
         )
         model = fit_sup(build_index(corpus, ("text",)), votes_per_item=1)
         lst = recommend_sup(model, UserProfile("u", {"voter": None}), 5)
@@ -406,11 +406,11 @@ class TestSUP:
 
     def test_content_free_profile_yields_empty_list(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("d1", {"text": "shared stuff"}),
-                ItemDocument("d2", {"text": "shared stuff"}),
-                ItemDocument("lone", {"text": "singleton"}),
-            ]
+            {
+                "d1": {"text": "shared stuff"},
+                "d2": {"text": "shared stuff"},
+                "lone": {"text": "singleton"},
+            }
         )
         model = fit_sup(build_index(corpus, ("text",)))
         lst = recommend_sup(model, UserProfile("u", {"lone": 1.0}), 5)
@@ -419,10 +419,10 @@ class TestSUP:
 
 def _random_corpus(rng, n_items):
     pool = [f"w{j:02d}" for j in range(8)]
-    docs = []
+    docs = {}
     for n in range(n_items):
         words = rng.choices(pool, k=rng.randint(0, 6))
-        docs.append(ItemDocument(f"i{n:02d}", {"text": " ".join(words)}))
+        docs[f"i{n:02d}"] = {"text": " ".join(words)}
     return ContentCorpus(docs)
 
 
@@ -478,8 +478,7 @@ class TestNeighborTable:
         rng = random.Random(77)
         pool = [f"w{j:02d}" for j in range(10)]
         corpus = ContentCorpus(
-            ItemDocument(f"i{n:02d}", {"text": " ".join(rng.choices(pool, k=rng.randint(0, 7)))})
-            for n in range(40)
+            {f"i{n:02d}": {"text": " ".join(rng.choices(pool, k=rng.randint(0, 7)))} for n in range(40)}
         )
         index = build_index(corpus, ("text",))
         vectors = as_term_dicts(index)
@@ -511,7 +510,7 @@ class TestNeighborTable:
     def test_one_ranking_per_voter_on_dense_preset(self, monkeypatch):
         data = synth.dense()
         ds = dataset(data.interactions)
-        corpus = ContentCorpus(ItemDocument(i, attrs) for i, attrs in data.documents.items())
+        corpus = ContentCorpus(data.documents)
         index = build_index(corpus, ("text",))
         plan = plan_splits(ds, fold_count=10, rng_seed=0)
         profiles = []
@@ -532,13 +531,12 @@ class TestNeighborTable:
 
     def test_table_pairs_equal_a_ranking_bit_for_bit_on_every_path(self, monkeypatch):
         corpus = ContentCorpus(
-            [
-                *(ItemDocument(f"h{n}", {"text": " ".join(["aa"] * (1 + n % 3) + ["bb"] * (n % 2))})
-                  for n in range(8)),
-                ItemDocument("z0", {"text": "zz"}),
-                ItemDocument("z1", {"text": "zz yy yy"}),
-                ItemDocument("y0", {"text": "yy"}),
-            ]
+            {
+                **{f"h{n}": {"text": " ".join(["aa"] * (1 + n % 3) + ["bb"] * (n % 2))} for n in range(8)},
+                "z0": {"text": "zz"},
+                "z1": {"text": "zz yy yy"},
+                "y0": {"text": "yy"},
+            }
         )
         index = build_index(corpus, ("text",))
         calls = _count_top_k_calls(monkeypatch, index)

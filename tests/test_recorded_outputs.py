@@ -4,13 +4,17 @@ the run directory and the compare output recorded in ``perfbench/recorded.json``
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from recbench import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SEED = 0
 # No benchmark workload runs cf under the pearson metric, so this pins the bytes
 # of dense-content (seed 0) with cf added as {"similarity_metric": "pearson"}.
@@ -27,6 +31,11 @@ def _workloads():
 workloads = _workloads()
 
 
+def _recorded(name):
+    with open(PERFBENCH / "recorded.json", encoding="utf-8") as fh:
+        return json.load(fh)["runs"][name][str(SEED)]
+
+
 def tree_digest(directory):
     """sha256 over every file's name and bytes, in name order (the scheme of
     ``perfbench/run.py``)."""
@@ -41,8 +50,7 @@ def tree_digest(directory):
 
 @pytest.mark.parametrize("name", sorted(workloads.COMPARES))
 def test_workload_matches_recording(name, tmp_path, monkeypatch, capsys):
-    with open(PERFBENCH / "recorded.json", encoding="utf-8") as fh:
-        recorded = json.load(fh)["runs"][name][str(SEED)]
+    recorded = _recorded(name)
     workloads.write_workload(name, SEED, tmp_path)
     monkeypatch.chdir(tmp_path)  # the workload's config names its inputs relative to it
     assert cli.main(["run", "--config", workloads.CONFIG, "--out", "run"]) == 0
@@ -67,3 +75,21 @@ def test_pearson_run_matches_recording(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["run", "--config", workloads.CONFIG, "--out", "run"]) == 0
     assert tree_digest(tmp_path / "run") == PEARSON_RUN_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(workloads.COMPARES))
+def test_setup_probe_matches_recording(name, tmp_path):
+    """The benchmark's set-up probe reads what the package builds (an index's
+    vocabulary and empty items, the corpus's attribute names): run it as the
+    benchmark does, in the workload directory against ``src``."""
+    workloads.write_workload(name, SEED, tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _recorded(name)["setup_stdout"]

@@ -10,11 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recbench import ConfigurationError, ParseError, build_index, default_stopwords, textproc, tokenize
-from recbench.corpus import ContentCorpus, ItemDocument
-from recbench.textproc import DocumentIndex, SparseVector, Vocabulary, load_stopwords, top_k_similar
+from recbench.corpus import ContentCorpus
+from recbench.textproc import DocumentIndex, SparseVector, load_stopwords, top_k_similar
 
 from conftest import as_term_dicts
-from oracles import oracle_top_k
+from oracles import oracle_tfidf, oracle_top_k
 
 
 def _vec(entries):
@@ -66,34 +66,36 @@ class TestTokenPass:
     @given(st.lists(st.one_of(ATTRIBUTE_TEXT, st.text()), min_size=1, max_size=4))
     def test_attribute_tokens_in_turn_are_the_joined_texts_tokens(self, texts):
         names = [f"a{n}" for n in range(len(texts))]
-        corpus = ContentCorpus([ItemDocument("d", dict(zip(names, texts)))])
+        corpus = ContentCorpus({"d": dict(zip(names, texts))})
         content = textproc.tokenize_content(corpus, names, self.STOPWORDS)
         assert [t for a in names for t in content.columns[a][0]] == [
             t for t in tokenize(" ".join(texts)) if t not in self.STOPWORDS
         ]
 
-    @given(st.lists(st.tuples(ATTRIBUTE_TEXT, ATTRIBUTE_TEXT), min_size=2, max_size=6))
+    @given(st.lists(st.tuples(ATTRIBUTE_TEXT, ATTRIBUTE_TEXT, ATTRIBUTE_TEXT), min_size=2, max_size=6))
     def test_multi_attribute_index_is_the_joined_texts_index(self, docs):
         def built(corpus, selection):
             try:
                 index = build_index(corpus, selection, self.STOPWORDS)
             except ConfigurationError:
                 return None
+            # the weights fix each term's df: a count times ln(n_docs / df)
             vectors = [(i, {t: w.hex() for t, w in v.entries.items()}) for i, v in index.vectors.items()]
-            return index.vocabulary.terms, dict(index.vocabulary.df), vectors
+            return index.vocabulary, vectors
 
-        joined = ContentCorpus(ItemDocument(f"d{n}", {"text": f"{a} {b}"}) for n, (a, b) in enumerate(docs))
-        corpus = ContentCorpus(ItemDocument(f"d{n}", {"b": b, "a": a}) for n, (a, b) in enumerate(docs))
+        joined = ContentCorpus({f"d{n}": {"text": f"{a} {b}"} for n, (a, b, _) in enumerate(docs)})
+        corpus = ContentCorpus({f"d{n}": {"c": c, "b": b, "a": a} for n, (a, b, c) in enumerate(docs)})
         content = textproc.tokenize_content(corpus, ("a", "b"), self.STOPWORDS)
+        # run_experiment's one token pass also covers the attributes of other selections
+        wider = textproc.tokenize_content(corpus, ("a", "b", "c"), self.STOPWORDS)
         expected = built(joined, ("text",))
         assert built(corpus, ("a", "b")) == expected
         assert built(content, ("a", "b")) == expected
+        assert built(wider, ("a", "b")) == expected
         assert content.shares_a_term(("a", "b")) == (expected is not None)
 
     def test_tokens_share_one_string_per_term(self):
-        corpus = ContentCorpus(
-            [ItemDocument("a", {"title": "Red fox", "plot": "red red"}), ItemDocument("b", {"plot": "fox"})]
-        )
+        corpus = ContentCorpus({"a": {"title": "Red fox", "plot": "red red"}, "b": {"plot": "fox"}})
         content = textproc.tokenize_content(corpus, ("plot", "title"))
         assert content.columns == {"plot": [("red", "red"), ("fox",)], "title": [("red", "fox"), ()]}
         reds = [content.columns["plot"][0][0], content.columns["plot"][0][1], content.columns["title"][0][0]]
@@ -124,10 +126,8 @@ class TestStopwords:
         p.write_text("  The # article\n# of\nAND\n", encoding="utf-8")
         sw = load_stopwords(p)
         assert sw == {"the # article", "# of", "and"}
-        corpus = ContentCorpus(
-            [ItemDocument("a", {"text": "the of and cat"}), ItemDocument("b", {"text": "the of and dog"})]
-        )
-        assert build_index(corpus, ("text",), sw).vocabulary.terms == ("of", "the")
+        corpus = ContentCorpus({"a": {"text": "the of and cat"}, "b": {"text": "the of and dog"}})
+        assert build_index(corpus, ("text",), sw).vocabulary == ("of", "the")
 
     def test_invalid_utf8_is_located(self, tmp_path):
         p = tmp_path / "stop.txt"
@@ -140,62 +140,63 @@ class TestStopwords:
 class TestBuildIndex:
     def test_toy_weights(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
-        vocab = index.vocabulary
-        assert vocab.terms == ("blue", "green", "red")
-        assert vocab.df == {"blue": 2, "green": 2, "red": 2}
-        red = vocab.terms.index("red")
+        assert index.vocabulary == ("blue", "green", "red")
+        # each term is in two of the three documents, so its idf is ln(3 / 2)
+        red = index.vocabulary.index("red")
         assert index.vector("d1").entries[red] == 2 * math.log(3 / 2)
         assert index.vector("d3").norm == math.sqrt(2 * math.log(3 / 2) ** 2)
+        tokens = {item: tokenize(attributes["text"]) for item, attributes in toy_corpus.documents.items()}
+        assert (list(index.vocabulary), as_term_dicts(index)) == oracle_tfidf(tokens)
 
     def test_single_document_terms_pruned(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "shared unique1"}),
-                ItemDocument("b", {"text": "shared unique2"}),
-            ]
+            {
+                "a": {"text": "shared unique1"},
+                "b": {"text": "shared unique2"},
+            }
         )
         index = build_index(corpus, ("text",))
-        assert index.vocabulary.terms == ("shared",)
+        assert index.vocabulary == ("shared",)
 
     def test_stopwords_removed_before_df(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "the cat sat"}),
-                ItemDocument("b", {"text": "the cat ran"}),
-            ]
+            {
+                "a": {"text": "the cat sat"},
+                "b": {"text": "the cat ran"},
+            }
         )
         index = build_index(corpus, ("text",), stopwords=frozenset({"the"}))
-        assert "the" not in index.vocabulary.terms
-        assert "cat" in index.vocabulary.terms
+        assert "the" not in index.vocabulary
+        assert "cat" in index.vocabulary
 
     def test_term_in_every_document_gets_zero_weight(self, toy_corpus):
         # a term present in all documents has idf ln(1) = 0 and is not stored
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "common alpha"}),
-                ItemDocument("b", {"text": "common alpha"}),
-                ItemDocument("c", {"text": "common beta beta"}),
-            ]
+            {
+                "a": {"text": "common alpha"},
+                "b": {"text": "common alpha"},
+                "c": {"text": "common beta beta"},
+            }
         )
         index = build_index(corpus, ("text",))
-        common = index.vocabulary.terms.index("common")
+        common = index.vocabulary.index("common")
         for item in ("a", "b", "c"):
             assert common not in index.vector(item).entries
 
     def test_selection_restricts_attributes(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"title": "alpha beta", "plot": "gamma delta"}),
-                ItemDocument("b", {"title": "alpha", "plot": "gamma"}),
-            ]
+            {
+                "a": {"title": "alpha beta", "plot": "gamma delta"},
+                "b": {"title": "alpha", "plot": "gamma"},
+            }
         )
         title_only = build_index(corpus, ("title",))
-        assert "gamma" not in title_only.vocabulary.terms
+        assert "gamma" not in title_only.vocabulary
         both = build_index(corpus, ("title", "plot"))
-        assert {"alpha", "gamma"} <= set(both.vocabulary.terms)
+        assert {"alpha", "gamma"} <= set(both.vocabulary)
 
     def test_bad_selection_reports_every_problem(self):
-        corpus = ContentCorpus([ItemDocument("a", {"title": "x y"})])
+        corpus = ContentCorpus({"a": {"title": "x y"}})
         with pytest.raises(ConfigurationError, match="nope"):
             build_index(corpus, ("title", "nope"))
         with pytest.raises(ConfigurationError, match="duplicate"):
@@ -203,10 +204,10 @@ class TestBuildIndex:
 
     def test_empty_vocabulary_rejected(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "onlyhere"}),
-                ItemDocument("b", {"text": "onlythere"}),
-            ]
+            {
+                "a": {"text": "onlyhere"},
+                "b": {"text": "onlythere"},
+            }
         )
         with pytest.raises(ConfigurationError, match="vocabulary"):
             build_index(corpus, ("text",))
@@ -217,7 +218,7 @@ class TestBuildIndex:
             assert index.postings(t) == tuple(
                 (item_id, vec.entries[t]) for item_id, vec in index.vectors.items() if t in vec.entries
             )
-        red = index.vocabulary.terms.index("red")
+        red = index.vocabulary.index("red")
         assert index.postings(red) == (("d1", 2 * math.log(3 / 2)), ("d2", math.log(3 / 2)))
         assert index.postings(len(index.vocabulary)) == ()
 
@@ -225,11 +226,7 @@ class TestBuildIndex:
         # 2,000 documents of 20 words, each drawn from its topic's 30 words
         rng = random.Random(5)
         corpus = ContentCorpus(
-            ItemDocument(
-                f"d{d:04d}",
-                {"text": " ".join(f"w{d % 50}x{rng.randrange(30)}" for _ in range(20))},
-            )
-            for d in range(2000)
+            {f"d{d:04d}": {"text": " ".join(f"w{d % 50}x{rng.randrange(30)}" for _ in range(20))} for d in range(2000)}
         )
         tracemalloc.start()
         try:
@@ -244,11 +241,11 @@ class TestBuildIndex:
 
     def test_empty_item_ids(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "shared words here"}),
-                ItemDocument("b", {"text": "shared words"}),
-                ItemDocument("c", {"text": "zz"}),
-            ]
+            {
+                "a": {"text": "shared words here"},
+                "b": {"text": "shared words"},
+                "c": {"text": "zz"},
+            }
         )
         index = build_index(corpus, ("text",))
         assert index.empty_item_ids == ("c",)
@@ -260,7 +257,7 @@ class TestIndexLayout:
 
     def test_documents_share_the_weight_of_a_term_and_count(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
-        blue = index.vocabulary.terms.index("blue")
+        blue = index.vocabulary.index("blue")
         # "blue" occurs once in d1 and once in d3
         d1, d3 = index.vector("d1").entries[blue], index.vector("d3").entries[blue]
         assert d1 == math.log(3 / 2)
@@ -284,7 +281,7 @@ class TestIndexLayout:
         layout, norm, ranked = (vec.terms, vec.weights), vec.norm, top_k_similar(index, vec, 3)
         entries = vec.entries
         entries[next(iter(entries))] = 1e6
-        entries[index.vocabulary.terms.index("green")] = 1e6  # a term d1 lacks
+        entries[index.vocabulary.index("green")] = 1e6  # a term d1 lacks
         assert vec.entries != entries
         assert (vec.terms, vec.weights) == layout
         assert vec.norm == norm
@@ -308,13 +305,6 @@ class TestIndexLayout:
             assert type(ids) is tuple
             assert type(scaled) is array and scaled.typecode == "d"
             assert len(scaled) == len(ids)
-
-
-class TestVocabulary:
-    @pytest.mark.parametrize("terms", [("bb", "aa"), ("aa", "aa"), ("aa", "cc", "bb")])
-    def test_terms_must_be_strictly_ascending(self, terms):
-        with pytest.raises(ValueError, match="strictly ascending"):
-            Vocabulary(terms=terms, df=dict.fromkeys(terms, 2), n_docs=2)
 
 
 class TestVectors:
@@ -354,12 +344,8 @@ class TestVectors:
     def cosine(a, b):
         """The score of vector ``b`` as an indexed item queried by ``a``."""
         n_terms = 1 + max([*a.entries, *b.entries], default=0)
-        vocab = Vocabulary(
-            terms=tuple(f"t{i:02d}" for i in range(n_terms)),
-            df={f"t{i:02d}": 2 for i in range(n_terms)},
-            n_docs=2,
-        )
-        ranked = top_k_similar(DocumentIndex(vocab, {"b": b}), a, 1)
+        vocabulary = tuple(f"t{i:02d}" for i in range(n_terms))
+        ranked = top_k_similar(DocumentIndex(vocabulary, {"b": b}), a, 1)
         return ranked[0][1] if ranked else 0.0
 
     def test_cosine_hand_value(self):
@@ -388,12 +374,12 @@ class TestTopK:
     @pytest.fixture
     def index(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a2", {"text": "xx yy"}),
-                ItemDocument("a10", {"text": "xx yy"}),
-                ItemDocument("b", {"text": "xx zz"}),
-                ItemDocument("c", {"text": "yy zz"}),
-            ]
+            {
+                "a2": {"text": "xx yy"},
+                "a10": {"text": "xx yy"},
+                "b": {"text": "xx zz"},
+                "c": {"text": "yy zz"},
+            }
         )
         return build_index(corpus, ("text",))
 
@@ -411,12 +397,12 @@ class TestTopK:
 
     def test_zero_scores_omitted(self):
         corpus = ContentCorpus(
-            [
-                ItemDocument("a", {"text": "xx xx yy"}),
-                ItemDocument("b", {"text": "xx yy"}),
-                ItemDocument("c", {"text": "ww vv"}),
-                ItemDocument("d", {"text": "ww vv"}),
-            ]
+            {
+                "a": {"text": "xx xx yy"},
+                "b": {"text": "xx yy"},
+                "c": {"text": "ww vv"},
+                "d": {"text": "ww vv"},
+            }
         )
         index = build_index(corpus, ("text",))
         got = top_k_similar(index, index.vector("a"), 10)
@@ -429,9 +415,8 @@ class TestTopK:
 
 def _index(vectors, n_terms=10):
     """An index over the terms t00.. whose items carry the given weights."""
-    terms = tuple(f"t{i:02d}" for i in range(n_terms))
-    vocab = Vocabulary(terms=terms, df=dict.fromkeys(terms, 2), n_docs=2)
-    return DocumentIndex(vocab, {item: _vec(e) for item, e in vectors.items()})
+    vocabulary = tuple(f"t{i:02d}" for i in range(n_terms))
+    return DocumentIndex(vocabulary, {item: _vec(e) for item, e in vectors.items()})
 
 
 def _oracle(index, query, k):
