@@ -255,6 +255,28 @@ class TestRunExperiment:
         run_experiment(make_config(paths, attribute_selections=["all", ["plot"], ["title"]]))
         assert built == [("plot", "title"), ("plot",), ("title",)]
 
+    def test_no_index_is_alive_when_lists_are_evaluated(self, paths, monkeypatch):
+        built, evaluated = [], []
+        build_index, evaluate = harness.build_index, harness.evaluate
+
+        def building(*args, **kwargs):
+            index = build_index(*args, **kwargs)
+            built.append(weakref.ref(index))
+            return index
+
+        def evaluating(*args, **kwargs):
+            assert [ref() for ref in built] == [None] * len(built), "an index is alive"
+            evaluated.append(args[3])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_index", building)
+        monkeypatch.setattr(harness, "evaluate", evaluating)
+        cfg = make_config(paths, attribute_selections=["all", ["plot"], ["title"]])
+        run_experiment(cfg)
+        assert len(built) == 3
+        # 3 algorithms, with sup and upa under each selection, x 5 folds x 2 ks
+        assert len(evaluated) == (1 + 2 * 3) * cfg.fold_count * 2
+
     def test_unknown_attribute_fails_before_any_split(self, paths, monkeypatch):
         def no_split(*args, **kwargs):
             raise AssertionError("a fold was split before the selections were checked")
