@@ -295,24 +295,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Every protocol user of a fold gets one ranked list per algorithm (and
     per attribute selection for the content-based ones), generated once at
-    the largest configured k. With content algorithms, every selected
-    attribute is first tokenized once, the raw text is dropped, and a
-    selection whose vocabulary would be empty is rejected before any fold.
-    The work then runs in three passes:
+    the largest configured k. The stages run in order, each one's split,
+    index and models alive only in its own call:
 
-    1. Per fold: build the split, keep the test users' profiles and hidden
-       sets, and produce the lists of every algorithm that reads no content
-       (``cf``). The split and the models fitted on it are dropped before
-       the next fold's split is built, and the interaction dataset and the
-       fold plan after the last fold.
-    2. Per attribute selection: build the index, fit each content algorithm
-       (``sup``, ``upa``) once, and produce its lists for every fold. The
-       index, and the ``sup`` neighbour table built on it, are dropped
-       before the next selection's index is built.
-    3. Per list set of each fold, and per k: record quality and coverage
-       metrics against the catalog's item set, built for this pass. Per
-       pair of algorithms under one report label, and per k: record each
-       fold's list overlap and sum the folds' hit intersections.
+    1. ``_load_content`` (content algorithms only): a bad selection fails
+       here, before any fold, and the raw text goes after the token pass.
+    2. ``_run_fold`` per fold: test profiles, hidden sets and ``cf`` lists.
+       The interactions and the fold plan are dropped after the last fold.
+    3. ``_selection_lists`` per attribute selection: ``sup`` and ``upa`` lists.
+    4. ``_evaluate``: per-list metrics and per-pair overlaps, per k.
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
@@ -321,29 +312,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ]
     fold_algorithms = [(spec, params) for spec, params in algorithms if not spec.needs_content]
     content_algorithms = [(spec, params) for spec, params in algorithms if spec.needs_content]
-
-    list_sets = config.list_sets()
-    selections: list[tuple[str, ...]] = []
     if content_algorithms:
-        corpus = load_content(config.content_path)
-        gaps = len(set(ds.items).difference(corpus.documents))
-        if gaps:
-            log.info("%d of %d items have no content document", gaps, ds.n_items)
-        stopwords = (
-            load_stopwords(config.stopwords_path) if config.stopwords_path else default_stopwords()
-        )
-        # checked here, before the fold pass, so a bad selection fails fast
-        selections = [
-            check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
-            for sel in config.attribute_selections
-        ]
-        # one pass tokenizes every selected attribute; the raw text goes
-        # before any index is built
-        content = tokenize_content(corpus, sorted({a for names in selections for a in names}), stopwords)
-        del corpus
-        empty = [label for names, label in zip(selections, list_sets) if not content.shares_a_term(names)]
-        if empty:
-            raise ConfigurationError([empty_vocabulary(label) for label in empty])
+        content, selections = _load_content(config, ds.items)
 
     plan = plan_splits(
         ds,
@@ -361,33 +331,86 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if content_algorithms:
         catalog += sorted(set(content.item_ids).difference(catalog))
 
-    lists_store: dict[tuple[str, str, int], dict[str, RecommendationList]] = {}
-    hidden_store: dict[int, dict[str, frozenset[str]]] = {}
+    lists: dict[tuple[str, str, int], dict[str, RecommendationList]] = {}
+    hidden: dict[int, dict[str, frozenset[str]]] = {}
     profiles_by_fold: dict[int, dict[str, UserProfile]] = {}
     for fold in range(config.fold_count):
-        profiles, hidden_store[fold], fold_lists = _prepare_fold(
-            ds, plan, fold, fold_algorithms, kmax
-        )
-        profiles_by_fold[fold] = profiles
-        lists_store.update(fold_lists)
-        log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(profiles))
+        profiles_by_fold[fold], hidden[fold], fold_lists = _run_fold(ds, plan, fold, fold_algorithms, kmax)
+        lists.update(fold_lists)
+        log.info("fold %d/%d split (%d test users)", fold + 1, config.fold_count, len(hidden[fold]))
     # no step after the folds reads the interactions: drop them before any index
     del ds, plan
-    # with content algorithms, list_sets is keyed by the selections' labels in order
-    for names, label in zip(selections, list_sets):
-        lists_store.update(
-            _content_lists(
-                content, names, label, stopwords, content_algorithms, profiles_by_fold, kmax
-            )
-        )
-        log.info("selection %s done", label)
+    if content_algorithms:
+        for label, names in selections.items():
+            lists.update(_selection_lists(content, names, label, content_algorithms, profiles_by_fold, kmax))
+            log.info("selection %s done", label)
 
-    # built only now, when no index is alive any more
-    catalog_set = set(catalog)
+    # the catalog's item set is built only now, when no index is alive any more
+    records, intersections = _evaluate(lists, hidden, set(catalog), config.k_values, config.list_sets())
+    return ExperimentResult(records, intersections, lists, hidden, tuple(catalog))
+
+
+def _load_content(config, items):
+    """The tokenized content and ``{report label: attribute names}``; a
+    selection with an unknown attribute or an empty vocabulary raises
+    ``ConfigurationError``."""
+    corpus = load_content(config.content_path)
+    gaps = len(set(items).difference(corpus.documents))
+    if gaps:
+        log.info("%d of %d items have no content document", gaps, len(items))
+    stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else default_stopwords()
+    selections = {
+        selection_label(sel): check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
+        for sel in config.attribute_selections
+    }
+    # one pass tokenizes every selected attribute; no later step reads the
+    # raw text, so it goes before the vocabulary check allocates its sets
+    content = tokenize_content(corpus, sorted({a for names in selections.values() for a in names}), stopwords)
+    del corpus
+    empty = [label for label, names in selections.items() if not content.shares_a_term(names)]
+    if empty:
+        raise ConfigurationError([empty_vocabulary(label) for label in empty])
+    return content, selections
+
+
+def _run_fold(ds, plan, fold, algorithms, k):
+    """One fold's test profiles, hidden sets and the ``_lists`` of
+    ``algorithms`` fitted on its training set."""
+    split = materialize_split(ds, plan, fold)
+    profiles = {u: UserProfile.from_training(split.train, u) for u in split.hidden}
+    lists = _lists(algorithms, split.train, NO_SELECTION_LABEL, {fold: profiles}, k)
+    return profiles, dict(split.hidden), lists
+
+
+def _selection_lists(content, names, label, algorithms, profiles_by_fold, k):
+    """The ``_lists`` of ``algorithms`` fitted on the index of the
+    attributes ``names`` of the tokenized ``content``."""
+    index = build_index(content, names, content.stopwords)
+    empty = index.empty_item_ids
+    if empty:
+        log.info("selection %s: %d items have empty vectors", label, len(empty))
+    return _lists(algorithms, index, label, profiles_by_fold, k)
+
+
+def _lists(algorithms, source, label, profiles_by_fold, k):
+    """Fit each ``(spec, params)`` on ``source`` (a training set or an index)
+    and list every profile at ``k``, keyed like ``ExperimentResult.lists``."""
+    models = [(spec, spec.fit(source, **params)) for spec, params in algorithms]
+    return {
+        (spec.name, label, fold): {u: spec.recommend(model, profile, k) for u, profile in profiles.items()}
+        for fold, profiles in profiles_by_fold.items()
+        for spec, model in models
+    }
+
+
+def _evaluate(lists, hidden, catalog_set, k_values, list_sets):
+    """Records and intersections: per list set and k, quality and coverage
+    metrics; per pair of algorithms under one report label and per k, each
+    fold's list overlap and the folds' summed hit intersections."""
     records: list[ReportRecord] = []
-    for (algorithm, label, fold), lists in lists_store.items():
-        for k in config.k_values:
-            report = evaluate(lists, hidden_store[fold], catalog_set, k)
+    for (algorithm, label, fold), fold_lists in lists.items():
+        for k in k_values:
+            report = evaluate(fold_lists, hidden[fold], catalog_set, k)
             records += (
                 ReportRecord(algorithm, label, fold, k, "map", report.map_at_k),
                 ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty),
@@ -399,14 +422,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for label, keys in list_sets.items():
         for (name_a, label_a), (name_b, label_b) in combinations(keys, 2):
             pair = f"{name_a}_x_{name_b}"
-            for k in config.k_values:
+            for k in k_values:
                 exclusive_a = exclusive_b = common = 0
-                for fold, hidden in hidden_store.items():
-                    lists_a = lists_store[(name_a, label_a, fold)]
-                    lists_b = lists_store[(name_b, label_b, fold)]
+                for fold, fold_hidden in hidden.items():
+                    lists_a = lists[(name_a, label_a, fold)]
+                    lists_b = lists[(name_b, label_b, fold)]
                     overlap = jaccard_list_similarity(lists_a, lists_b, k)
                     records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
-                    report = hit_intersection(lists_a, lists_b, hidden, k)
+                    report = hit_intersection(lists_a, lists_b, fold_hidden, k)
                     exclusive_a += report.exclusive_a
                     exclusive_b += report.exclusive_b
                     common += report.common
@@ -414,55 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     IntersectionRecord(name_a, name_b, label, k, exclusive_a, exclusive_b, common)
                 )
     intersections.sort(key=attrgetter("algorithm_a", "algorithm_b", "attribute_selection", "k"))
-    return ExperimentResult(
-        records=records,
-        intersections=intersections,
-        lists=lists_store,
-        hidden=hidden_store,
-        catalog=tuple(catalog),
-    )
-
-
-def _prepare_fold(ds, plan, fold, algorithms, k):
-    """Build one fold's split and return its test users' profiles, their
-    hidden sets and the lists of each ``(spec, params)`` in ``algorithms``
-    (content-free algorithms, fitted on the split's training set), keyed
-    like ``ExperimentResult.lists``.
-
-    The split and the models live only in this call, so none outlives the
-    fold.
-    """
-    split = materialize_split(ds, plan, fold)
-    profiles = {u: UserProfile.from_training(split.train, u) for u in split.hidden}
-    lists = {}
-    for spec, params in algorithms:
-        model = spec.fit(split.train, **params)
-        lists[(spec.name, NO_SELECTION_LABEL, fold)] = {
-            u: spec.recommend(model, profile, k) for u, profile in profiles.items()
-        }
-    return profiles, dict(split.hidden), lists
-
-
-def _content_lists(content, names, label, stopwords, algorithms, profiles_by_fold, k):
-    """The lists of each content algorithm ``(spec, params)`` in
-    ``algorithms`` on the attributes ``names`` of the tokenized ``content``,
-    for every fold, keyed like ``ExperimentResult.lists``.
-
-    The index and the models fitted on it live only in this call, so at
-    most one selection's index is alive at a time.
-    """
-    index = build_index(content, names, stopwords)
-    empty = index.empty_item_ids
-    if empty:
-        log.info("selection %s: %d items have empty vectors", label, len(empty))
-    models = [(spec, spec.fit(index, **params)) for spec, params in algorithms]
-    return {
-        (spec.name, label, fold): {
-            u: spec.recommend(model, profile, k) for u, profile in profiles.items()
-        }
-        for fold, profiles in profiles_by_fold.items()
-        for spec, model in models
-    }
+    return records, intersections
 
 
 def _write_csv(path, header, rows) -> None:
