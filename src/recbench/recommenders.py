@@ -12,6 +12,7 @@ omit zero-score candidates (a list may therefore be shorter than requested).
 
 import heapq
 import math
+import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -58,8 +59,8 @@ class RecommendationList(FrozenSlots):
     non-increasing, in one ``array("d")``, which
     holds every double exactly at 8 bytes and no float object per entry.
     ``item_ids(k)`` slices the ids tuple; ``scores`` and ``entries`` (the
-    pairs) are tuples built on each read. The list is immutable, and
-    equality, hashing and ``repr`` go by content.
+    pairs) are tuples built on each read. The list is immutable and
+    pickles as its constructor arguments.
     """
 
     __slots__ = ("user_id", "target_k", "_ids", "_scores")
@@ -94,23 +95,6 @@ class RecommendationList(FrozenSlots):
     def __reduce__(self):
         return type(self), (self.user_id, self.entries, self.target_k)
 
-    def _key(self):
-        return self.user_id, self._ids, tuple(self._scores), self.target_k
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(user_id={self.user_id!r}, "
-            f"entries={self.entries!r}, target_k={self.target_k!r})"
-        )
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -136,18 +120,19 @@ def _top(scores: Mapping[str | int, float], k: int) -> list[tuple[str | int, flo
 def _unseen(ranking, profile: Mapping[str, float], n: int) -> Iterator[tuple[str, float]]:
     """The first ``n`` pairs of ``ranking`` whose id is not in ``profile``. From a ranking
     ``n + len(profile)`` deep, they are exactly the first ``n`` of a ranking that excluded
-    the profile before its cutoff, as no similarity depends on what is excluded."""
-    return islice((pair for pair in ranking if pair[0] not in profile), n)
+    the profile before its cutoff, as no similarity depends on what is excluded. No
+    ranking is longer than ``sys.maxsize``, the largest cutoff ``islice`` takes."""
+    return islice((pair for pair in ranking if pair[0] not in profile), min(n, sys.maxsize))
 
 
 class CFModel:
     """User-based nearest-neighbour model over the training matrix.
 
-    It reads the training set's profiles in place and sums over each in its
-    ascending item order; an unrated interaction was loaded as 1.0, so purely
-    implicit data yields a binary matrix. Fitting adds one column per item
-    (user -> rating), which lives as long as the model. Instances are
-    immutable after fitting and safe for concurrent queries.
+    ``profiles`` is the training set's ``{user: {item: rating}}``, read in
+    place, and every sum over a profile runs in its ascending item order; an
+    unrated interaction was loaded as 1.0, so purely implicit data yields a
+    binary matrix. Fitting adds one column per item (user -> rating), which
+    lives as long as the model. Nothing changes after fitting.
     """
 
     def __init__(self, train: InteractionDataset, neighborhood_size: int, similarity_metric: str):
@@ -157,21 +142,15 @@ class CFModel:
             raise ValueError(f"similarity_metric must be one of {SIMILARITY_METRICS}")
         self.neighborhood_size = neighborhood_size
         self.similarity_metric = similarity_metric
-        self._profiles = train.profiles
+        self.profiles = train.profiles
         self._norms: dict[str, float] = {}
         self._columns: dict[str, dict[str, float]] = {}
-        for u, prof in self._profiles.items():
+        for u, prof in self.profiles.items():
             s = 0.0
             for i, r in prof.items():
                 s += r * r
                 self._columns.setdefault(i, {})[u] = r
             self._norms[u] = math.sqrt(s)
-
-    def __contains__(self, user_id: str) -> bool:
-        return user_id in self._profiles
-
-    def ratings_of(self, user_id: str) -> Mapping[str, float]:
-        return self._profiles[user_id]
 
     @staticmethod
     def _pearson(pairs: list[tuple[float, float]]) -> float:
@@ -206,7 +185,7 @@ class CFModel:
         co-rater from the item columns, so each pair sums its common items in
         the queried user's ascending item order.
         """
-        pa = self._profiles[user_id]
+        pa = self.profiles[user_id]
         if self.similarity_metric == "cosine":
             dots: dict[str, float] = {}
             for i, ra in pa.items():
@@ -243,12 +222,13 @@ def recommend_cf(model: CFModel, user: UserProfile, k: int) -> RecommendationLis
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if user.user_id not in model:
+    profiles = model.profiles
+    if user.user_id not in profiles:
         raise ColdStartError(f"user {user.user_id!r} is not in the training matrix")
     scores: dict[str, float] = {}
     # ascending neighbour id keeps the float sums reproducible
     for v, sim in sorted(model.neighbors(user.user_id)):
-        for i, r in model.ratings_of(v).items():
+        for i, r in profiles[v].items():
             if i not in user.items:
                 scores[i] = scores.get(i, 0.0) + sim * r
     return RecommendationList(user_id=user.user_id, entries=tuple(_top(scores, k)), target_k=k)
@@ -282,11 +262,12 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    vectors = model.index.vectors
     aggregated: dict[int, float] = {}
     for item_id in user.items:
-        if item_id not in model.index:
+        vec = vectors.get(item_id)
+        if not vec:
             continue
-        vec = model.index.vector(item_id)
         for t, w in zip(vec.terms, vec.weights):
             aggregated[t] = aggregated.get(t, 0.0) + w
     if not aggregated:
@@ -308,9 +289,10 @@ class SUPModel:
     itself included), stored like a ``RecommendationList``: the item ids in
     one tuple and the scores in one ``array("d")``. The index depends on
     neither the user nor the fold, so one fitted model serves every user of
-    every fold, and a voter item shared by many profiles is ranked once. A
-    fill that loses a race with a concurrent one stores an equally exact
-    ranking, so concurrent queries stay correct.
+    every fold, and a voter item shared by many profiles is ranked once.
+    Each fill keeps a prefix of one exact ranking, so no list depends on the
+    order of fills. A run is one process; a copy of the model in another
+    process fills its own table.
     """
 
     index: DocumentIndex
@@ -338,7 +320,7 @@ class SUPModel:
             cached_depth, ids, scores = cached
             if cached_depth >= depth or len(ids) < cached_depth:
                 return zip(ids, scores)
-        ranking = top_k_similar(self.index, self.index.vector(item_id), depth)
+        ranking = top_k_similar(self.index, self.index.vectors[item_id], depth)
         ids = tuple(item for item, _ in ranking)
         scores = array("d", (score for _, score in ranking))
         self._neighbors[item_id] = (depth, ids, scores)
@@ -363,9 +345,10 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
     if k < 1:
         raise ValueError("k must be >= 1")
     depth = model.votes_per_item + len(user.items)
+    vectors = model.index.vectors
     votes: dict[str, float] = {}
     for item_id in user.items:
-        if item_id not in model.index or not model.index.vector(item_id):
+        if not vectors.get(item_id):
             continue
         ranking = model.neighbors(item_id, depth)
         for candidate, sim in _unseen(ranking, user.items, model.votes_per_item):

@@ -115,8 +115,8 @@ class DocumentIndex:
     with no float object. An (item, term) entry is thus a term-index and a
     weight reference in the vector's two tuples plus one posting.
     ``vocabulary`` is the ascending tuple of retained terms, and a term's
-    index is its position in it. Immutable once constructed; safe to query
-    concurrently.
+    index is its position in it. ``vectors`` maps each indexed item id to
+    its vector. Nothing changes after construction.
     """
 
     def __init__(self, vocabulary: tuple[str, ...], vectors: Mapping[str, SparseVector]):
@@ -140,12 +140,6 @@ class DocumentIndex:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.vectors
-
-    def vector(self, item_id: str) -> SparseVector:
-        return self.vectors[item_id]
 
     def postings(self, term_index: int) -> tuple[tuple[str, float], ...]:
         """``(item_id, weight)`` for each item carrying the term, in index order."""

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -424,6 +425,23 @@ class TestCompare:
         for name in ("lists.csv", "hidden.csv"):
             write_csv(run / name, [row[::-1] for row in read_csv(run / name)])
         assert (run / "hidden.csv").read_text().startswith("item_id,user_id,fold\n")
+        proc = compare_cf_sup(run)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected.stdout
+
+    def test_data_rows_in_any_order_give_the_same_output(self, finished_run, tmp_path):
+        """Each list is put back in rank order and each hidden set is a set,
+        so shuffling the data rows of both files changes no output byte."""
+        run = tmp_path / "run"
+        shutil.copytree(finished_run, run)
+        expected = compare_cf_sup(run)
+        assert expected.returncode == 0, expected.stderr
+        rng = random.Random(0)
+        for name in ("lists.csv", "hidden.csv"):
+            header, *rows = read_csv(run / name)
+            shuffled = rng.sample(rows, len(rows))
+            assert shuffled != rows
+            write_csv(run / name, [header, *shuffled])
         proc = compare_cf_sup(run)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected.stdout

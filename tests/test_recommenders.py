@@ -99,15 +99,11 @@ class TestRecommendationList:
         assert [s.hex() for s in lst.scores] == [(1 / 3).hex(), (-0.0).hex()]
         assert [s.hex() for _, s in lst.entries] == [(1 / 3).hex(), (-0.0).hex()]
 
-    def test_equal_content_is_equal_with_equal_hashes(self):
-        a = RecommendationList("u", [("a", 2.0), ("b", 1.0)], target_k=5)
-        b = RecommendationList("u", iter((("a", 2), ("b", 1))), target_k=5)
-        assert a == b and hash(a) == hash(b)
-        assert pickle.loads(pickle.dumps(a)) == a
-        assert repr(a) == "RecommendationList(user_id='u', entries=(('a', 2.0), ('b', 1.0)), target_k=5)"
-        assert a != RecommendationList("u", [("a", 2.0), ("b", 0.5)], target_k=5)
-        assert a != RecommendationList("u", [("a", 2.0), ("b", 1.0)], target_k=6)
-        assert a != RecommendationList("v", [("a", 2.0), ("b", 1.0)], target_k=5)
+    def test_pickle_round_trip_keeps_the_content(self):
+        a = RecommendationList("u", iter((("a", 2), ("b", 1 / 3))), target_k=5)
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is RecommendationList
+        assert (b.user_id, b.entries, b.target_k) == ("u", (("a", 2.0), ("b", 1 / 3)), 5)
 
     def test_list_is_immutable(self):
         lst = RecommendationList("u", (("a", 1.0),), target_k=5)
@@ -149,7 +145,7 @@ class TestCF:
     def test_reads_training_ratings_in_place(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
         for u in ratings_4x5.users:
-            assert model.ratings_of(u) is ratings_4x5.profile(u)
+            assert model.profiles[u] is ratings_4x5.profile(u)
 
     def test_hand_computed_similarities(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
@@ -524,7 +520,7 @@ class TestNeighborTable:
         model = fit_sup(index, votes_per_item=15)
         for profile in profiles:
             recommend_sup(model, profile, 100)
-        voters = {i for p in profiles for i in p.items if i in index and index.vector(i)}
+        voters = {i for p in profiles for i in p.items if index.vectors.get(i)}
         uses = sum(1 for p in profiles for i in p.items if i in voters)
         assert uses > 5 * len(voters)  # voters really are shared across users and folds
         assert calls == dict.fromkeys(voters, 1)
@@ -545,7 +541,7 @@ class TestNeighborTable:
         def read(item_id, depth, ranked_at):
             """Read the table at ``depth``; it must hold the ranking asked for at ``ranked_at``."""
             got = [(i, s.hex()) for i, s in model.neighbors(item_id, depth)]
-            want = top_k_similar(index, index.vector(item_id), ranked_at)
+            want = top_k_similar(index, index.vectors[item_id], ranked_at)
             assert got == [(i, s.hex()) for i, s in want]
             return len(got)
 

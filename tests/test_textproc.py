@@ -143,8 +143,8 @@ class TestBuildIndex:
         assert index.vocabulary == ("blue", "green", "red")
         # each term is in two of the three documents, so its idf is ln(3 / 2)
         red = index.vocabulary.index("red")
-        assert index.vector("d1").entries[red] == 2 * math.log(3 / 2)
-        assert index.vector("d3").norm == math.sqrt(2 * math.log(3 / 2) ** 2)
+        assert index.vectors["d1"].entries[red] == 2 * math.log(3 / 2)
+        assert index.vectors["d3"].norm == math.sqrt(2 * math.log(3 / 2) ** 2)
         tokens = {item: tokenize(attributes["text"]) for item, attributes in toy_corpus.documents.items()}
         assert (list(index.vocabulary), as_term_dicts(index)) == oracle_tfidf(tokens)
 
@@ -181,7 +181,7 @@ class TestBuildIndex:
         index = build_index(corpus, ("text",))
         common = index.vocabulary.index("common")
         for item in ("a", "b", "c"):
-            assert common not in index.vector(item).entries
+            assert common not in index.vectors[item].entries
 
     def test_selection_restricts_attributes(self):
         corpus = ContentCorpus(
@@ -259,10 +259,10 @@ class TestIndexLayout:
         index = build_index(toy_corpus, ("text",))
         blue = index.vocabulary.index("blue")
         # "blue" occurs once in d1 and once in d3
-        d1, d3 = index.vector("d1").entries[blue], index.vector("d3").entries[blue]
+        d1, d3 = index.vectors["d1"].entries[blue], index.vectors["d3"].entries[blue]
         assert d1 == math.log(3 / 2)
         assert d1 is d3
-        v1, v3 = index.vector("d1"), index.vector("d3")
+        v1, v3 = index.vectors["d1"], index.vectors["d3"]
         assert v1.weights[v1.terms.index(blue)] is v3.weights[v3.terms.index(blue)]
 
     def test_vector_stores_a_term_tuple_and_a_weight_tuple(self):
@@ -277,7 +277,7 @@ class TestIndexLayout:
 
     def test_changing_the_entries_read_changes_nothing(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
-        vec = index.vector("d1")
+        vec = index.vectors["d1"]
         layout, norm, ranked = (vec.terms, vec.weights), vec.norm, top_k_similar(index, vec, 3)
         entries = vec.entries
         entries[next(iter(entries))] = 1e6
@@ -385,12 +385,12 @@ class TestTopK:
 
     def test_ties_break_on_ascending_item_id(self, index):
         # a10 and a2 have identical vectors; lexicographic order puts "a10" first
-        query = index.vector("b")
+        query = index.vectors["b"]
         ranked = [item for item, _ in top_k_similar(index, query, 4)]
         assert ranked.index("a10") < ranked.index("a2")
 
     def test_truncates_to_k(self, index):
-        assert len(top_k_similar(index, index.vector("a2"), 2)) == 2
+        assert len(top_k_similar(index, index.vectors["a2"], 2)) == 2
 
     def test_zero_query_returns_nothing(self, index):
         assert top_k_similar(index, _vec({}), 3) == []
@@ -405,12 +405,12 @@ class TestTopK:
             }
         )
         index = build_index(corpus, ("text",))
-        got = top_k_similar(index, index.vector("a"), 10)
+        got = top_k_similar(index, index.vectors["a"], 10)
         assert {item for item, _ in got} == {"a", "b"}
 
     def test_k_must_be_positive(self, index):
         with pytest.raises(ValueError):
-            top_k_similar(index, index.vector("b"), 0)
+            top_k_similar(index, index.vectors["b"], 0)
 
 
 def _index(vectors, n_terms=10):
@@ -545,7 +545,7 @@ class TestTopKAgainstOracle:
         }
         for path in ("default", "maxscore"):
             index = _logged(vectors)
-            query = index.vector("s0")
+            query = index.vectors["s0"]
             got = _top_k(path, index, query, 2)
             assert index._postings.read == [0], path
             assert got == _oracle(index, query, 2)
