@@ -117,14 +117,13 @@ def _cmd_compare(args) -> int:
     sub_b = {u: lists_b[u] for u in common}
     hidden = {u: hidden_a[u] for u in common}
     overlap = jaccard_list_similarity(sub_a, sub_b, args.k)
-    report = hit_intersection(sub_a, sub_b, hidden, args.k)
+    counts = hit_intersection(sub_a, sub_b, hidden, args.k)
     print(f"run_a: {args.run_a} algorithm={key_a[0]} attribute_selection={key_a[1]}")
     print(f"run_b: {args.run_b} algorithm={key_b[0]} attribute_selection={key_b[1]}")
     print(f"users_compared: {len(common)}")
     print(f"jaccard@{args.k}: {overlap!r}")
-    print(f"exclusive_a: {report.exclusive_a}")
-    print(f"exclusive_b: {report.exclusive_b}")
-    print(f"common: {report.common}")
+    for name, count in counts.items():
+        print(f"{name}: {count}")
     return 0
 
 

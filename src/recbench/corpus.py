@@ -14,6 +14,22 @@ INTERACTION_FORMATS = ("explicit", "implicit")
 IMPLICIT_RATING = 1.0
 
 
+def _positive_int(value) -> str | None:
+    """Why ``value`` is not a count (an ``int`` of at least 1, not a ``bool``),
+    or ``None`` when it is one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        return "must be a positive integer"
+    return None
+
+
+def _require(name: str, value, rule) -> None:
+    """Raise ``ValueError`` naming the parameter ``name`` when ``rule(value)``
+    finds a problem, in the form a configuration problem takes."""
+    problem = rule(value)
+    if problem:
+        raise ValueError(f"{name} {problem}, got {value!r}")
+
+
 class InteractionDataset:
     """An immutable collection of user-item activities: one profile per user,
     holding item id -> rating by ascending item id. ``users`` and ``items``
@@ -55,10 +71,6 @@ class InteractionDataset:
     def profiles(self) -> Mapping[str, Mapping[str, float]]:
         """Read-only view of user -> {item -> rating}."""
         return self._profiles
-
-    def profile(self, user_id: str) -> Mapping[str, float]:
-        """Items rated by ``user_id``; an unknown user raises ``KeyError``."""
-        return self._profiles[user_id]
 
 
 def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, float]:
@@ -263,7 +275,7 @@ class DatasetStats:
 
 def compute_stats(ds: InteractionDataset) -> DatasetStats:
     """Compute descriptive statistics for ``ds``."""
-    per_user = [len(ds.profile(u)) for u in ds.users]
+    per_user = list(map(len, ds.profiles.values()))
     raters = dict.fromkeys(ds.items, 0)
     for profile in ds.profiles.values():
         for i in profile:
@@ -308,14 +320,11 @@ def plan_splits(
     Ineligible users stay out of every fold and are used as training-only
     users. The same seed always yields the same plan.
     """
-    if fold_count < 1:
-        raise ValueError("fold_count must be >= 1")
-    if given_n < 1:
-        raise ValueError("given_n must be >= 1")
-    if min_train_items < 1:
-        raise ValueError("min_train_items must be >= 1")
+    _require("fold_count", fold_count, _positive_int)
+    _require("given_n", given_n, _positive_int)
+    _require("min_train_items", min_train_items, _positive_int)
     threshold = given_n + min_train_items
-    eligible = sorted(u for u in ds.users if len(ds.profile(u)) >= threshold)
+    eligible = sorted(u for u, profile in ds.profiles.items() if len(profile) >= threshold)
     if not eligible:
         raise ProtocolError(
             f"no user has the {threshold} interactions required by the holdout protocol"
@@ -357,5 +366,5 @@ def materialize_split(ds: InteractionDataset, plan: SplitPlan, fold: int) -> Hol
     for user in plan.users_in_fold(fold):
         # string seeds hash the text itself, immune to per-process hash randomization
         rng = random.Random(f"{plan.rng_seed}:{fold}:{user}")
-        hidden[user] = frozenset(rng.sample(list(ds.profile(user)), plan.given_n))
+        hidden[user] = frozenset(rng.sample(list(ds.profiles[user]), plan.given_n))
     return HoldoutSplit(train=ds._without(hidden), hidden=hidden)

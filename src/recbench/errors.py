@@ -45,13 +45,15 @@ class ProtocolError(RecbenchError):
 
 
 class ConfigurationError(RecbenchError):
-    """Invalid configuration; the message enumerates every detected problem."""
+    """Invalid configuration; the message enumerates every detected problem,
+    after the configuration file's ``path`` when one is given."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, path=None):
         if isinstance(problems, str):
             problems = [problems]
         self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+        message = "; ".join(self.problems)
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 class ColdStartError(RecbenchError):

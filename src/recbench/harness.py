@@ -7,6 +7,7 @@ import csv
 import json
 import logging
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -16,6 +17,7 @@ from pathlib import Path
 
 from .corpus import (
     INTERACTION_FORMATS,
+    _positive_int,
     load_content,
     load_interactions,
     materialize_split,
@@ -23,7 +25,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, RecbenchError, decode_error
 from .metrics import evaluate, hit_intersection, jaccard_list_similarity
-from .recommenders import ALGORITHMS, RecommendationList, UserProfile, _positive_int
+from .recommenders import ALGORITHMS, RecommendationList, UserProfile
 from .textproc import (
     build_index,
     check_selection,
@@ -74,27 +76,34 @@ class ExperimentConfig:
             try:
                 raw = json.load(fh, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from None
+                raise ConfigurationError(f"invalid JSON: {exc.msg} (line {exc.lineno})", path) from None
             except UnicodeDecodeError:
                 raise ConfigurationError(str(decode_error(path))) from None
             except (ValueError, RecursionError) as exc:
                 # an integer longer than int() accepts, or nesting deeper than the stack
-                raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+                raise ConfigurationError(f"invalid JSON: {exc}", path) from None
         if not isinstance(raw, dict):
-            raise ConfigurationError(f"{path}: config must be a JSON object")
+            raise ConfigurationError("config must be a JSON object", path)
         known = {f.name for f in fields(cls)}
         problems += [f"unknown config key {key!r}" for key in sorted(set(raw) - known)]
         return {key: value for key, value in raw.items() if key in known}, problems
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        """Load and validate a configuration file; one error lists every
-        problem of the file and of its fields."""
+        """Load and validate a configuration file; one error, naming the
+        file, lists every problem of the file and of its fields."""
+        return cls._from_file(path, lambda config, raw: config._missing_files() + config.problems())
+
+    @classmethod
+    def _from_file(cls, path, check) -> "ExperimentConfig":
+        """The configuration in the file ``path``. One error, naming the file,
+        lists every problem ``read_json`` reports and every one that
+        ``check(config, raw)`` returns, given the file's known fields ``raw``."""
         raw, problems = cls.read_json(path)
         config = cls(**raw)
-        problems += config._missing_files() + config.problems()
+        problems += check(config, raw)
         if problems:
-            raise ConfigurationError(problems)
+            raise ConfigurationError(problems, path)
         return config
 
     def validate(self) -> None:
@@ -377,7 +386,7 @@ def _run_fold(ds, plan, fold, algorithms, k):
     """One fold's test profiles, hidden sets and the ``_lists`` of
     ``algorithms`` fitted on its training set."""
     split = materialize_split(ds, plan, fold)
-    profiles = {u: UserProfile.from_training(split.train, u) for u in split.hidden}
+    profiles = {u: UserProfile(u, split.train.profiles[u]) for u in split.hidden}
     lists = _lists(algorithms, split.train, NO_SELECTION_LABEL, {fold: profiles}, k)
     return profiles, dict(split.hidden), lists
 
@@ -410,32 +419,22 @@ def _evaluate(lists, hidden, catalog_set, k_values, list_sets):
     records: list[ReportRecord] = []
     for (algorithm, label, fold), fold_lists in lists.items():
         for k in k_values:
-            report = evaluate(fold_lists, hidden[fold], catalog_set, k)
-            records += (
-                ReportRecord(algorithm, label, fold, k, "map", report.map_at_k),
-                ReportRecord(algorithm, label, fold, k, "map_nonempty", report.map_at_k_nonempty),
-                ReportRecord(algorithm, label, fold, k, "ucov", report.ucov_at_k),
-                ReportRecord(algorithm, label, fold, k, "ccov", report.ccov_at_k),
-            )
+            for metric, value in evaluate(fold_lists, hidden[fold], catalog_set, k).items():
+                records.append(ReportRecord(algorithm, label, fold, k, metric, value))
 
     intersections: list[IntersectionRecord] = []
     for label, keys in list_sets.items():
         for (name_a, label_a), (name_b, label_b) in combinations(keys, 2):
             pair = f"{name_a}_x_{name_b}"
             for k in k_values:
-                exclusive_a = exclusive_b = common = 0
+                counts: Counter[str] = Counter()
                 for fold, fold_hidden in hidden.items():
                     lists_a = lists[(name_a, label_a, fold)]
                     lists_b = lists[(name_b, label_b, fold)]
                     overlap = jaccard_list_similarity(lists_a, lists_b, k)
                     records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
-                    report = hit_intersection(lists_a, lists_b, fold_hidden, k)
-                    exclusive_a += report.exclusive_a
-                    exclusive_b += report.exclusive_b
-                    common += report.common
-                intersections.append(
-                    IntersectionRecord(name_a, name_b, label, k, exclusive_a, exclusive_b, common)
-                )
+                    counts.update(hit_intersection(lists_a, lists_b, fold_hidden, k))
+                intersections.append(IntersectionRecord(name_a, name_b, label, k, **counts))
     intersections.sort(key=attrgetter("algorithm_a", "algorithm_b", "attribute_selection", "k"))
     return records, intersections
 
@@ -585,15 +584,14 @@ def read_run_lists(run_dir):
     the rule: a non-finite score, a repeated item or a rising score.
     """
     run = Path(run_dir)
-    config_path = run / "config.json"
-    raw, problems = ExperimentConfig.read_json(config_path)
-    # the writer writes every field: a lost one is reported, never checked
-    # (or used) as its default
-    missing = [f"missing config key {f.name!r}" for f in fields(ExperimentConfig) if f.name not in raw]
-    config = ExperimentConfig(**raw)
-    problems += missing or config.problems()
-    if problems:
-        raise ConfigurationError(f"{config_path}: {'; '.join(problems)}")
+
+    def saved_config_problems(config, raw):
+        # the writer writes every field: a lost one is reported, never checked
+        # (or used) as its default
+        missing = [f"missing config key {f.name!r}" for f in fields(ExperimentConfig) if f.name not in raw]
+        return missing or config.problems()
+
+    config = ExperimentConfig._from_file(run / "config.json", saved_config_problems)
     target_k = max(config.k_values)
     hidden_path = run / "hidden.csv"
     sets: dict[str, set[str]] = {}

@@ -6,37 +6,9 @@ evaluations are bit-for-bit identical.
 """
 
 from collections.abc import Mapping, Set as AbstractSet
-from dataclasses import dataclass
 
 from .errors import UndefinedMetricError
 from .recommenders import RecommendationList
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Aggregate scores for one batch at one cutoff.
-
-    ``map_at_k`` averages over every evaluated user (empty lists score 0);
-    ``map_at_k_nonempty`` averages over users with at least one recommended
-    item, as a side-by-side diagnostic for algorithms that cannot always
-    fill their lists. ``ucov_at_k`` (user coverage) is the mean of
-    ``min(|list|, k) / k`` over every evaluated user; ``ccov_at_k`` (catalog
-    coverage) is the fraction of the catalog recommended to anyone.
-    """
-
-    map_at_k: float
-    map_at_k_nonempty: float
-    ucov_at_k: float
-    ccov_at_k: float
-
-
-@dataclass(frozen=True)
-class IntersectionReport:
-    """How the correct recommendations of two algorithms overlap."""
-
-    exclusive_a: int
-    exclusive_b: int
-    common: int
 
 
 def average_precision_at_k(recs: RecommendationList, hidden: AbstractSet[str], k: int) -> float:
@@ -64,12 +36,19 @@ def evaluate(
     hidden: Mapping[str, AbstractSet[str]],
     catalog: AbstractSet[str],
     k: int,
-) -> MetricReport:
+) -> dict[str, float]:
     """Compute every list metric for one batch in a single pass.
 
     ``lists`` holds a (possibly empty) list for every evaluated user,
     ``hidden`` the user's withheld items, ``catalog`` the full set of items
-    the system could recommend, and ``k`` the evaluation cutoff.
+    the system could recommend, and ``k`` the evaluation cutoff. Returns the
+    measures under their ``records.csv`` names, in this order: ``map``
+    averages over every evaluated user (empty lists score 0);
+    ``map_nonempty`` averages over users with at least one recommended item,
+    as a side-by-side diagnostic for algorithms that cannot always fill
+    their lists; ``ucov`` (user coverage) is the mean of ``min(|list|, k) /
+    k`` over every evaluated user; ``ccov`` (catalog coverage) is the
+    fraction of the catalog recommended to anyone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -95,12 +74,12 @@ def evaluate(
             nonempty_total += ap
             nonempty_count += 1
         recommended.update(lst.item_ids(k))
-    return MetricReport(
-        map_at_k=total / len(users),
-        map_at_k_nonempty=(nonempty_total / nonempty_count) if nonempty_count else 0.0,
-        ucov_at_k=fill_total / len(users),
-        ccov_at_k=len(recommended) / len(catalog),
-    )
+    return {
+        "map": total / len(users),
+        "map_nonempty": (nonempty_total / nonempty_count) if nonempty_count else 0.0,
+        "ucov": fill_total / len(users),
+        "ccov": len(recommended) / len(catalog),
+    }
 
 
 def jaccard_list_similarity(
@@ -133,9 +112,11 @@ def hit_intersection(
     lists_b: Mapping[str, RecommendationList],
     hidden: Mapping[str, AbstractSet[str]],
     k: int,
-) -> IntersectionReport:
+) -> dict[str, int]:
     """Split the correct top-``k`` recommendations of two algorithms into
-    exclusive and shared (user, item) hits."""
+    exclusive and shared (user, item) hits: the counts ``exclusive_a``,
+    ``exclusive_b`` and ``common``, named and ordered as ``intersections.csv``
+    writes them."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if set(lists_a) != set(lists_b):
@@ -146,8 +127,8 @@ def hit_intersection(
             raise ValueError(f"user {u!r} has no hidden set")
     hits_a = {(u, i) for u in users for i in lists_a[u].item_ids(k) if i in hidden[u]}
     hits_b = {(u, i) for u in users for i in lists_b[u].item_ids(k) if i in hidden[u]}
-    return IntersectionReport(
-        exclusive_a=len(hits_a - hits_b),
-        exclusive_b=len(hits_b - hits_a),
-        common=len(hits_a & hits_b),
-    )
+    return {
+        "exclusive_a": len(hits_a - hits_b),
+        "exclusive_b": len(hits_b - hits_a),
+        "common": len(hits_a & hits_b),
+    }

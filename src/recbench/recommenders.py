@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import gt
 
-from .corpus import InteractionDataset
+from .corpus import InteractionDataset, _positive_int, _require
 from .errors import ColdStartError
 from .textproc import DocumentIndex, FrozenSlots, SparseVector, top_k_similar
 
@@ -43,10 +43,6 @@ class UserProfile:
         if not self.items:
             raise ValueError("profile must contain at least one item")
         object.__setattr__(self, "items", dict(sorted(self.items.items())))
-
-    @classmethod
-    def from_training(cls, train: InteractionDataset, user_id: str) -> "UserProfile":
-        return cls(user_id=user_id, items=train.profile(user_id))
 
 
 class RecommendationList(FrozenSlots):
@@ -136,10 +132,8 @@ class CFModel:
     """
 
     def __init__(self, train: InteractionDataset, neighborhood_size: int, similarity_metric: str):
-        if neighborhood_size < 1:
-            raise ValueError("neighborhood_size must be >= 1")
-        if similarity_metric not in SIMILARITY_METRICS:
-            raise ValueError(f"similarity_metric must be one of {SIMILARITY_METRICS}")
+        _require("neighborhood_size", neighborhood_size, _positive_int)
+        _require("similarity_metric", similarity_metric, _similarity_metric)
         self.neighborhood_size = neighborhood_size
         self.similarity_metric = similarity_metric
         self.profiles = train.profiles
@@ -242,8 +236,7 @@ class UPAModel:
     profile_term_budget: int
 
     def __post_init__(self):
-        if self.profile_term_budget < 1:
-            raise ValueError("profile_term_budget must be >= 1")
+        _require("profile_term_budget", self.profile_term_budget, _positive_int)
 
 
 def fit_upa(index: DocumentIndex, profile_term_budget: int = DEFAULT_PROFILE_TERM_BUDGET) -> UPAModel:
@@ -302,8 +295,7 @@ class SUPModel:
     )
 
     def __post_init__(self):
-        if self.votes_per_item < 1:
-            raise ValueError("votes_per_item must be >= 1")
+        _require("votes_per_item", self.votes_per_item, _positive_int)
 
     def neighbors(self, item_id: str, depth: int) -> Iterator[tuple[str, float]]:
         """Yield the indexed item's most similar items as ``(item_id, score)``
@@ -354,12 +346,6 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
         for candidate, sim in _unseen(ranking, user.items, model.votes_per_item):
             votes[candidate] = votes.get(candidate, 0.0) + sim
     return RecommendationList(user_id=user.user_id, entries=tuple(_top(votes, k)), target_k=k)
-
-
-def _positive_int(value) -> str | None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        return "must be a positive integer"
-    return None
 
 
 def _similarity_metric(value) -> str | None:

@@ -143,7 +143,7 @@ class TestRun:
         proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert proc.stderr == (
-            "error: repeated config key 'fold_count'; repeated config key 'k_values'; "
+            f"error: {bad}: repeated config key 'fold_count'; repeated config key 'k_values'; "
             "k_values must be positive integers, got [0]\n"
         )
         assert not (tmp_path / "out").exists()
@@ -173,7 +173,7 @@ class TestRun:
         bad.write_text(json.dumps({**json.loads(config_path.read_text()), field: value}))
         proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {problem}\n"
+        assert proc.stderr == f"error: {bad}: {problem}\n"
 
     @pytest.mark.parametrize("value, fragment", BEYOND_THE_PARSER, ids=["long-integer", "deep-nesting"])
     def test_json_beyond_the_parsers_limits_is_exit_1(self, workspace, tmp_path, value, fragment):
@@ -201,7 +201,7 @@ class TestRun:
         bad.write_text(json.dumps(config))
         proc = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr == "error: attribute selection names must be printable, got ['ti\\ntle']\n"
+        assert proc.stderr == f"error: {bad}: attribute selection names must be printable, got ['ti\\ntle']\n"
         assert not (tmp_path / "out").exists()
 
     def test_selection_with_an_empty_vocabulary_fails_before_any_fold(self, tmp_path):
@@ -585,6 +585,21 @@ class TestCompare:
         assert proc.returncode == 1, proc.stderr
         assert f"{broken / location}" in proc.stderr
         assert fragment in proc.stderr
+
+    def test_a_field_error_names_the_config_file_as_run_does(self, finished_run, tmp_path):
+        """``run --config`` and ``compare`` report one broken field alike: the
+        file, then the problem."""
+        config = {**json.loads((finished_run / "config.json").read_text()), "k_values": [0]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        run = run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out"))
+        broken = tmp_path / "broken"
+        shutil.copytree(finished_run, broken)
+        (broken / "config.json").write_text(json.dumps(config))
+        compared = compare_cf_sup(broken)
+        problem = "k_values must be positive integers, got [0]"
+        assert (run.returncode, run.stderr) == (1, f"error: {bad}: {problem}\n")
+        assert (compared.returncode, compared.stderr) == (1, f"error: {broken / 'config.json'}: {problem}\n")
 
     def test_repeated_key_in_a_runs_config_is_exit_1(self, finished_run, tmp_path):
         broken = tmp_path / "broken"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -29,10 +30,10 @@ class TestInteractionDataset:
 
     def test_profiles_and_inverse(self):
         ds = dataset([("u1", "a", 4.0), ("u1", "b", 2.0), ("u2", "a", 5.0)])
-        assert ds.profile("u1") == {"a": 4.0, "b": 2.0}
+        assert ds.profiles["u1"] == {"a": 4.0, "b": 2.0}
         assert "u2" in ds.profiles and "u3" not in ds.profiles
         with pytest.raises(KeyError):
-            ds.profile("u3")
+            ds.profiles["u3"]
 
 
 class TestLoadInteractions:
@@ -46,14 +47,14 @@ class TestLoadInteractions:
             "u2\ta\t3.5\t987654\n"
         )
         ds = load_interactions(p)
-        assert ds.profile("u1") == {"a": 1.0, "b": 4.0}
-        assert ds.profile("u2") == {"a": 3.5}
+        assert ds.profiles["u1"] == {"a": 1.0, "b": 4.0}
+        assert ds.profiles["u2"] == {"a": 3.5}
 
     def test_implicit_rating_is_constant(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ta\nu1\tb\t123456\n")
         ds = load_interactions(p, format="implicit")
-        assert ds.profile("u1") == {"a": 1.0, "b": 1.0}
+        assert ds.profiles["u1"] == {"a": 1.0, "b": 1.0}
 
     def test_implicit_rejects_four_columns(self, tmp_path):
         p = tmp_path / "r.tsv"
@@ -65,7 +66,7 @@ class TestLoadInteractions:
         p = tmp_path / "r.tsv"
         p.write_text("u1\ta\t2\nu1\ta\t5\n")
         ds = load_interactions(p)
-        assert ds.profile("u1") == {"a": 5.0}
+        assert ds.profiles["u1"] == {"a": 5.0}
         assert ds.n_activities == 1
 
     def test_parse_error_carries_location(self, tmp_path):
@@ -131,7 +132,7 @@ class TestLoadInteractions:
     def test_negative_zero_rating_is_accepted(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ta\t-0\n")
-        assert load_interactions(p).profile("u1") == {"a": 0.0}
+        assert load_interactions(p).profiles["u1"] == {"a": 0.0}
 
     def test_first_appearance_order_and_last_rating(self, tmp_path):
         p = tmp_path / "r.tsv"
@@ -139,7 +140,7 @@ class TestLoadInteractions:
         ds = load_interactions(p)
         assert ds.users == ("b", "a")
         assert ds.items == ("y", "x")
-        assert ds.profile("b") == {"y": 5.0}
+        assert ds.profiles["b"] == {"y": 5.0}
         assert ds.n_activities == 2
 
     def test_profiles_key_items_by_the_dataset_item_ids(self, tmp_path):
@@ -148,7 +149,7 @@ class TestLoadInteractions:
         ds = load_interactions(p)
         item_ids = {item: item for item in ds.items}
         for user in ds.users:
-            for item in ds.profile(user):
+            for item in ds.profiles[user]:
                 assert item is item_ids[item]
 
     def test_load_peak_stays_near_what_the_dataset_keeps(self, tmp_path):
@@ -379,8 +380,8 @@ class TestSplits:
             split = materialize_split(ds, plan, fold)
             for user in plan.users_in_fold(fold):
                 hidden = split.hidden[user]
-                train_items = set(split.train.profile(user))
-                full = set(ds.profile(user))
+                train_items = set(split.train.profiles[user])
+                full = set(ds.profiles[user])
                 assert len(hidden) == 10
                 assert hidden <= full
                 assert train_items | hidden == full
@@ -388,7 +389,7 @@ class TestSplits:
             # everyone else keeps their complete profile for training
             for user in ds.users:
                 if user not in split.hidden:
-                    assert split.train.profile(user) == ds.profile(user)
+                    assert split.train.profiles[user] == ds.profiles[user]
             assert split.train.users == ds.users
             assert split.train.items == ds.items
 
@@ -407,7 +408,7 @@ class TestSplits:
         plan = plan_splits(ds, fold_count=3, given_n=10, min_train_items=10, rng_seed=2)
         for data in (ds, *(materialize_split(ds, plan, fold).train for fold in range(3))):
             for user in data.users:
-                assert list(data.profile(user)) == sorted(data.profile(user))
+                assert list(data.profiles[user]) == sorted(data.profiles[user])
 
     def test_split_drops_exactly_the_hidden_activities(self):
         ds = _protocol_ds()
@@ -434,6 +435,18 @@ class TestSplits:
         first = materialize_split(ds, plan, 1)
         second = materialize_split(ds, plan, 1)
         assert first.hidden == second.hidden
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("fold_count", 2.5), ("fold_count", True), ("fold_count", 0), ("given_n", 2.5),
+         ("min_train_items", 2.5), ("given_n", "10")],
+    )
+    def test_counts_are_positive_integers(self, name, value):
+        """The rule a run's config uses: a fractional fold count would plan
+        folds that no split can reach, and a fractional given_n would fail
+        only when a split samples it."""
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+            plan_splits(_protocol_ds(), **{name: value})
 
     def test_fold_out_of_range(self):
         ds = _protocol_ds()

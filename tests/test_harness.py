@@ -3,6 +3,7 @@ import json
 import math
 import random
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from recbench import (
     ExperimentResult,
     RecbenchError,
     ReportRecord,
+    evaluate,
+    hit_intersection,
     run_experiment,
     summarize,
     write_run_dir,
@@ -89,6 +92,7 @@ class TestConfig:
             "repeated config key 'cf'",
             "repeated config key 'fold_count'",
         ]
+        assert str(exc.value) == f"{p}: " + "; ".join(exc.value.problems)
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "config.json"
@@ -428,6 +432,41 @@ class TestRunDir:
         # the config echo is itself a loadable config
         loaded = ExperimentConfig.from_json(out / "config.json")
         assert loaded.k_values == cfg.k_values
+
+    def test_metric_names_are_the_reports_own(self, paths, tmp_path):
+        """``evaluate`` and ``hit_intersection`` name each measure as the run
+        directory does: every key ``evaluate`` returns is a ``metric`` of
+        ``records.csv`` holding that value, and ``hit_intersection``'s keys are
+        ``intersections.csv``'s count columns, in column order."""
+        cfg = make_config(paths, algorithms={"cf": {}, "upa": {}})
+        result = run_experiment(cfg)
+        out = tmp_path / "run"
+        write_run_dir(result, cfg, out)
+        with open(out / "records.csv", newline="") as fh:
+            values = {
+                (r["algorithm"], r["attribute_selection"], int(r["fold"]), int(r["k"]), r["metric"]): r["value"]
+                for r in csv.DictReader(fh)
+            }
+        catalog = set(result.catalog)
+        for (algorithm, label, fold), lists in result.lists.items():
+            for k in cfg.k_values:
+                report = evaluate(lists, result.hidden[fold], catalog, k)
+                assert list(report) == ["map", "map_nonempty", "ucov", "ccov"]
+                for metric, value in report.items():
+                    assert values[algorithm, label, fold, k, metric] == repr(value)
+
+        with open(out / "intersections.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        count_columns = [f.name for f in fields(IntersectionRecord)][4:]
+        assert rows[0][4:] == count_columns
+        k = cfg.k_values[0]
+        totals = {name: 0 for name in count_columns}
+        for fold, hidden in result.hidden.items():
+            counts = hit_intersection(result.lists["cf", "-", fold], result.lists["upa", "all", fold], hidden, k)
+            assert list(counts) == count_columns
+            for name, count in counts.items():
+                totals[name] += count
+        assert ["cf", "upa", "all", str(k), *map(str, totals.values())] in rows
 
     def test_single_k_skips_plot(self, paths, tmp_path):
         cfg = make_config(paths, algorithms={"cf": {}}, k_values=[10])

@@ -64,8 +64,8 @@ class TestBatchMetrics:
             catalog=set(ITEMS),
             k=5,
         )
-        assert report.map_at_k == 0.5
-        assert report.map_at_k_nonempty == 1.0
+        assert report["map"] == 0.5
+        assert report["map_nonempty"] == 1.0
 
     def test_ucov_hand_value(self):
         wide = [f"w{j}" for j in range(10)]
@@ -75,10 +75,10 @@ class TestBatchMetrics:
             catalog=set(wide),
             k=10,
         )
-        assert report.ucov_at_k == 0.75
+        assert report["ucov"] == 0.75
 
     def test_ucov_all_empty(self):
-        assert evaluate({"u1": rl("u1", [])}, {"u1": {"a"}}, {"a"}, 3).ucov_at_k == 0.0
+        assert evaluate({"u1": rl("u1", [])}, {"u1": {"a"}}, {"a"}, 3)["ucov"] == 0.0
 
     def test_ccov_hand_value(self):
         catalog = {f"c{j}" for j in range(10)}
@@ -91,7 +91,7 @@ class TestBatchMetrics:
             catalog=catalog,
             k=5,
         )
-        assert report.ccov_at_k == 0.4
+        assert report["ccov"] == 0.4
 
     def test_ccov_union_is_idempotent(self):
         same = ["c1", "c2", "c3"]
@@ -101,7 +101,7 @@ class TestBatchMetrics:
             catalog={f"c{j}" for j in range(6)},
             k=5,
         )
-        assert report.ccov_at_k == 0.5
+        assert report["ccov"] == 0.5
 
     def test_no_users_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -139,10 +139,10 @@ class TestBatchMetrics:
                 if len(lists[uid]):
                     nonempty_total += ap
                     nonempty += 1
-            assert report.map_at_k == total / len(lists)
-            assert report.map_at_k_nonempty == (nonempty_total / nonempty if nonempty else 0.0)
-            assert report.ucov_at_k == oracle_ucov(ids_of(lists), k)
-            assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, k)
+            assert report["map"] == total / len(lists)
+            assert report["map_nonempty"] == (nonempty_total / nonempty if nonempty else 0.0)
+            assert report["ucov"] == oracle_ucov(ids_of(lists), k)
+            assert report["ccov"] == oracle_ccov(ids_of(lists), ITEMS, k)
 
 
 class TestJaccard:
@@ -180,13 +180,13 @@ class TestHitIntersection:
         lists = {"u": rl("u", ["i1", "i2", "i3"])}
         hidden = {"u": {"i1", "i3"}}
         report = hit_intersection(lists, lists, hidden, 5)
-        assert (report.exclusive_a, report.exclusive_b, report.common) == (0, 0, 2)
+        assert (report["exclusive_a"], report["exclusive_b"], report["common"]) == (0, 0, 2)
 
     def test_disjoint_hits(self):
         a = {"u1": rl("u1", ["i1"])}
         b = {"u1": rl("u1", ["i2"])}
         report = hit_intersection(a, b, {"u1": {"i1", "i2"}}, 5)
-        assert (report.exclusive_a, report.exclusive_b, report.common) == (1, 1, 0)
+        assert (report["exclusive_a"], report["exclusive_b"], report["common"]) == (1, 1, 0)
 
     def test_user_mismatch_rejected(self):
         a = {"u1": rl("u1", ["i1"])}
@@ -228,13 +228,13 @@ def ids_of(lists):
 def test_batch_metrics_match_oracles_exactly(instance):
     lists, hidden, k = instance
     report = evaluate(lists, hidden, set(ITEMS), k)
-    assert report.map_at_k == oracle_map(ids_of(lists), hidden, k)
-    assert report.ucov_at_k == oracle_ucov(ids_of(lists), k)
-    assert report.ccov_at_k == oracle_ccov(ids_of(lists), ITEMS, k)
-    assert 0.0 <= report.map_at_k <= 1.0
-    assert 0.0 <= report.map_at_k_nonempty <= 1.0
-    assert 0.0 <= report.ucov_at_k <= 1.0
-    assert 0.0 <= report.ccov_at_k <= 1.0
+    assert report["map"] == oracle_map(ids_of(lists), hidden, k)
+    assert report["ucov"] == oracle_ucov(ids_of(lists), k)
+    assert report["ccov"] == oracle_ccov(ids_of(lists), ITEMS, k)
+    assert 0.0 <= report["map"] <= 1.0
+    assert 0.0 <= report["map_nonempty"] <= 1.0
+    assert 0.0 <= report["ucov"] <= 1.0
+    assert 0.0 <= report["ccov"] <= 1.0
 
 
 @given(instances(), instances())
@@ -263,9 +263,9 @@ def test_intersection_conserves_hits(instance, rng):
     report = hit_intersection(lists_a, lists_b, hidden, k)
     hits_a = oracle_hits(ids_of(lists_a), hidden, k)
     hits_b = oracle_hits(ids_of(lists_b), hidden, k)
-    assert report.exclusive_a + report.common == len(hits_a)
-    assert report.exclusive_b + report.common == len(hits_b)
-    assert report.common == len(hits_a & hits_b)
+    assert report["exclusive_a"] + report["common"] == len(hits_a)
+    assert report["exclusive_b"] + report["common"] == len(hits_b)
+    assert report["common"] == len(hits_a & hits_b)
 
 
 @given(instances(), st.data())
@@ -290,5 +290,5 @@ def test_ccov_never_decreases_with_k(instance):
     lists, hidden, _ = instance
     values = []
     for k in range(1, 9):
-        values.append(evaluate(lists, hidden, set(ITEMS), k).ccov_at_k)
+        values.append(evaluate(lists, hidden, set(ITEMS), k)["ccov"])
     assert values == sorted(values)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -32,12 +33,12 @@ import synth
 
 
 def _profile(model_ds, user):
-    return UserProfile.from_training(model_ds, user)
+    return UserProfile(user, model_ds.profiles[user])
 
 
 class TestUserProfile:
-    def test_from_training(self, ratings_4x5):
-        p = UserProfile.from_training(ratings_4x5, "u2")
+    def test_built_from_training_ratings(self, ratings_4x5):
+        p = UserProfile("u2", ratings_4x5.profiles["u2"])
         assert p.items == {"i1": 4.0, "i3": 4.0}
 
     def test_empty_profile_rejected(self):
@@ -145,7 +146,7 @@ class TestCF:
     def test_reads_training_ratings_in_place(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
         for u in ratings_4x5.users:
-            assert model.profiles[u] is ratings_4x5.profile(u)
+            assert model.profiles[u] is ratings_4x5.profiles[u]
 
     def test_hand_computed_similarities(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
@@ -187,7 +188,7 @@ class TestCF:
         model = fit_cf(ratings_4x5)
         for u in ratings_4x5.users:
             lst = recommend_cf(model, _profile(ratings_4x5, u), 10)
-            assert not set(lst.item_ids()) & set(ratings_4x5.profile(u))
+            assert not set(lst.item_ids()) & set(ratings_4x5.profiles[u])
 
     def test_unknown_user_is_cold(self, ratings_4x5):
         model = fit_cf(ratings_4x5)
@@ -212,7 +213,7 @@ class TestCF:
             ]
         )
         model = fit_cf(ds, similarity_metric="pearson")
-        a, c = ds.profile("a"), ds.profile("c")
+        a, c = ds.profiles["a"], ds.profiles["c"]
         assert recommenders.CFModel._pearson([(a[i], c[i]) for i in a if i in c]) == -1.0
         # anti-correlated users are not neighbours
         assert model.neighbors("a") == (("b", 1.0),)
@@ -231,7 +232,7 @@ class TestCF:
     def test_bad_params(self, ratings_4x5):
         with pytest.raises(ValueError):
             fit_cf(ratings_4x5, neighborhood_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("similarity_metric must be one of ['cosine', 'pearson']")):
             fit_cf(ratings_4x5, similarity_metric="jaccard")
         model = fit_cf(ratings_4x5)
         with pytest.raises(ValueError):
@@ -250,6 +251,22 @@ def _random_explicit(rng):
     return dataset(rows)
 
 
+class TestParameterRules:
+    """Fitting checks a parameter by the rule a run's config uses, so a value
+    the config refuses is refused here too, naming the parameter, instead of
+    failing later with a ``TypeError``."""
+
+    @pytest.mark.parametrize("value", [0, 2.5, True, "5"], ids=["zero", "float", "bool", "str"])
+    def test_counts_are_positive_integers(self, ratings_4x5, toy_index, value):
+        for fit, source, name in (
+            (fit_cf, ratings_4x5, "neighborhood_size"),
+            (fit_sup, toy_index, "votes_per_item"),
+            (fit_upa, toy_index, "profile_term_budget"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {value!r}")):
+                fit(source, **{name: value})
+
+
 class TestCFAgainstBruteForce:
     """``neighbors`` and ``recommend_cf`` equal the exhaustive oracle exactly,
     on random datasets and on their training splits."""
@@ -262,7 +279,7 @@ class TestCFAgainstBruteForce:
             ds = _random_explicit(rng)
             plan = plan_splits(ds, fold_count=2, given_n=2, min_train_items=2, rng_seed=trial)
             for data in (ds, *(materialize_split(ds, plan, fold).train for fold in range(2))):
-                ratings = {u: dict(data.profile(u)) for u in data.users}
+                ratings = {u: dict(data.profiles[u]) for u in data.users}
                 zero_ratings += sum(r == 0.0 for p in ratings.values() for r in p.values())
                 single_common += sum(
                     len(ratings[u].keys() & ratings[v].keys()) == 1
@@ -272,7 +289,7 @@ class TestCFAgainstBruteForce:
                     model = fit_cf(data, neighborhood_size=size, similarity_metric=metric)
                     for u in data.users:
                         assert list(model.neighbors(u)) == oracle_cf_neighbors(ratings, u, size, metric)
-                        lst = recommend_cf(model, UserProfile.from_training(data, u), 5)
+                        lst = recommend_cf(model, UserProfile(u, data.profiles[u]), 5)
                         assert list(lst.entries) == oracle_cf(ratings, u, size, 5, metric)
         assert zero_ratings and single_common
 
@@ -288,7 +305,7 @@ class TestCFAgainstBruteForce:
         )
         for metric, ds in (("cosine", cosine), ("pearson", pearson)):
             model = fit_cf(ds, similarity_metric=metric)
-            ratings = {u: dict(ds.profile(u)) for u in ds.users}
+            ratings = {u: dict(ds.profiles[u]) for u in ds.users}
             for u, v in (("a", "b"), ("b", "a")):
                 ((neighbor, score),) = model.neighbors(u)
                 assert neighbor == v
@@ -296,7 +313,7 @@ class TestCFAgainstBruteForce:
         # the order shows on these inputs: right to left gives other scores
         assert fit_cf(cosine).neighbors("a") == (("b", 1.0),)
         assert (1.0 + 1.0) + 1e16 == 1e16 + 2.0
-        pa, pb = pearson.profile("a"), pearson.profile("b")
+        pa, pb = pearson.profiles["a"], pearson.profiles["b"]
         pairs = [(pa[i], pb[i]) for i in ("i1", "i2", "i3")]
         pearson_of = recommenders.CFModel._pearson
         assert pearson_of(pairs) != pearson_of(pairs[::-1])
@@ -512,7 +529,7 @@ class TestNeighborTable:
         profiles = []
         for fold in range(plan.fold_count):
             split = materialize_split(ds, plan, fold)
-            profiles += [UserProfile.from_training(split.train, u) for u in plan.users_in_fold(fold)]
+            profiles += [UserProfile(u, split.train.profiles[u]) for u in plan.users_in_fold(fold)]
         # largest profiles first: no later user asks for a deeper ranking
         profiles.sort(key=lambda p: -len(p.items))
 
