@@ -360,8 +360,8 @@ def materialize_split(ds: InteractionDataset, plan: SplitPlan, fold: int) -> Hol
     an rng seeded from (plan seed, fold, user id), so the split depends only
     on those values and never on iteration order.
     """
-    if not 0 <= fold < plan.fold_count:
-        raise ValueError(f"fold must be in [0, {plan.fold_count}), got {fold}")
+    if not isinstance(fold, int) or isinstance(fold, bool) or not 0 <= fold < plan.fold_count:
+        raise ValueError(f"fold must be an integer in [0, {plan.fold_count}), got {fold!r}")
     hidden: dict[str, frozenset[str]] = {}
     for user in plan.users_in_fold(fold):
         # string seeds hash the text itself, immune to per-process hash randomization

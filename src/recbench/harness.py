@@ -12,7 +12,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations, groupby
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, length_hint
 from pathlib import Path
 
 from .corpus import (
@@ -581,7 +581,8 @@ def read_run_lists(run_dir):
     more or fewer fields than its header is an error there.
     A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
     A list ``RecommendationList`` rejects is an error at the row that breaks
-    the rule: a non-finite score, a repeated item or a rising score.
+    the rule: a row past the largest k, a repeated item, a non-finite score or
+    a rising score.
     """
     run = Path(run_dir)
 
@@ -639,27 +640,19 @@ def read_run_lists(run_dir):
                         f"{lists_path}:{line}: the {'/'.join(key)} list of user {user_id!r} "
                         f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
                     )
+            # the constructor reads the rows one by one and raises at the first
+            # that breaks a rule: that row is the last one read (none, for a rule
+            # on the list as a whole)
+            it = iter(rows)
             try:
-                lists[key][user_id] = _ranked(user_id, rows, target_k)
-            except ValueError:
-                # a rule the constructor checks, once broken, stays broken in every
-                # longer prefix: the shortest prefix it rejects ends at the row
-                # that breaks it (none, for a rule on the list as a whole)
-                for n in range(len(rows) + 1):
-                    try:
-                        _ranked(user_id, rows[:n], target_k)
-                    except ValueError as exc:
-                        where = f"{lists_path}:{rows[n - 1][3]}" if n else lists_path
-                        raise RecbenchError(
-                            f"{where}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
-                        ) from None
+                lists[key][user_id] = RecommendationList(user_id, map(itemgetter(1, 2), it), target_k)
+            except ValueError as exc:
+                read = len(rows) - length_hint(it)
+                where = f"{lists_path}:{rows[read - 1][3]}" if read else lists_path
+                raise RecbenchError(
+                    f"{where}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
+                ) from None
     return lists, hidden
-
-
-def _ranked(user_id, rows, target_k):
-    """The ``RecommendationList`` of ``(rank, item, score, line)`` rows in rank order."""
-    # the constructor reads the pairs once into its id and score columns
-    return RecommendationList(user_id, ((item_id, score) for _, item_id, score, _ in rows), target_k)
 
 
 def _csv_rows(path, columns):

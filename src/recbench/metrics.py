@@ -7,6 +7,7 @@ evaluations are bit-for-bit identical.
 
 from collections.abc import Mapping, Set as AbstractSet
 
+from .corpus import _positive_int, _require
 from .errors import UndefinedMetricError
 from .recommenders import RecommendationList
 
@@ -18,8 +19,7 @@ def average_precision_at_k(recs: RecommendationList, hidden: AbstractSet[str], k
     ``min(|hidden|, k)``. An empty list scores 0.0; an empty hidden set has
     no defined value and raises ``UndefinedMetricError``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     if not hidden:
         raise UndefinedMetricError("hidden set is empty")
     hits = 0
@@ -50,8 +50,7 @@ def evaluate(
     k`` over every evaluated user; ``ccov`` (catalog coverage) is the
     fraction of the catalog recommended to anyone.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     for user_id in lists:
         if user_id not in hidden:
             raise ValueError(f"user {user_id!r} has a list but no hidden set")
@@ -93,8 +92,7 @@ def jaccard_list_similarity(
     lists are both empty contributes 0.0. Raises ``UndefinedMetricError``
     when the collections share no users.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     common_users = sorted(set(lists_a) & set(lists_b))
     if not common_users:
         raise UndefinedMetricError("the two list collections share no users")
@@ -117,8 +115,7 @@ def hit_intersection(
     exclusive and shared (user, item) hits: the counts ``exclusive_a``,
     ``exclusive_b`` and ``common``, named and ordered as ``intersections.csv``
     writes them."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     if set(lists_a) != set(lists_b):
         raise ValueError("the two list collections must cover the same users")
     users = sorted(lists_a)

@@ -17,7 +17,6 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import gt
 
 from .corpus import InteractionDataset, _positive_int, _require
 from .errors import ColdStartError
@@ -51,9 +50,12 @@ class RecommendationList(FrozenSlots):
     ``target_k`` is the requested length; the list may be shorter when too
     few candidates score above zero. It is built from an iterable of pairs
     but stores them as two columns: the item ids in one tuple and the
-    scores, each passed through ``float()`` and required to be finite and
-    non-increasing, in one ``array("d")``, which
+    scores, each passed through ``float()``, in one ``array("d")``, which
     holds every double exactly at 8 bytes and no float object per entry.
+    Entries are checked as they are read, each by these rules in this order:
+    at most ``target_k`` entries, no repeated item, a finite score, and no
+    score above the one before. The first entry that breaks a rule raises
+    ``ValueError``, and no entry after it is read.
     ``item_ids(k)`` slices the ids tuple; ``scores`` and ``entries`` (the
     pairs) are tuples built on each read. The list is immutable and
     pickles as its constructor arguments.
@@ -64,25 +66,25 @@ class RecommendationList(FrozenSlots):
     def __init__(self, user_id: str, entries: Iterable[tuple[str, float]], target_k: int):
         if not user_id:
             raise ValueError("user_id must be a non-empty string")
-        if target_k < 1:
-            raise ValueError("target_k must be >= 1")
-        ids, scores = [], []
+        _require("target_k", target_k, _positive_int)
+        ids, scores, seen = [], [], set()
+        # a good entry passes one test, and only a bad one works out which rule it
+        # broke; the score range ends at the largest finite float, so inf and nan fail it
+        low, last = -math.inf, sys.float_info.max
         for item_id, score in entries:
-            ids.append(item_id)
-            scores.append(float(score))
-        if len(ids) > target_k:
-            raise ValueError(f"{len(ids)} entries exceed target_k={target_k}")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            for item_id in ids:
+            score = float(score)
+            if len(ids) == target_k or item_id in seen or not low < score <= last:
+                if len(ids) == target_k:
+                    raise ValueError(f"{target_k + 1} entries exceed target_k={target_k}")
                 if item_id in seen:
                     raise ValueError(f"duplicate item {item_id!r} in recommendation list")
-                seen.add(item_id)
-        if not all(map(math.isfinite, scores)):
-            item_id, score = next((i, s) for i, s in zip(ids, scores) if not math.isfinite(s))
-            raise ValueError(f"score of item {item_id!r} is not finite: {score!r}")
-        if any(map(gt, islice(scores, 1, None), scores)):
-            raise ValueError("scores must be non-increasing")
+                if not math.isfinite(score):
+                    raise ValueError(f"score of item {item_id!r} is not finite: {score!r}")
+                raise ValueError("scores must be non-increasing")
+            seen.add(item_id)
+            ids.append(item_id)
+            scores.append(score)
+            last = score
         object.__setattr__(self, "user_id", user_id)
         object.__setattr__(self, "target_k", target_k)
         object.__setattr__(self, "_ids", tuple(ids))
@@ -214,8 +216,7 @@ def recommend_cf(model: CFModel, user: UserProfile, k: int) -> RecommendationLis
     in the training matrix; an unknown id raises ``ColdStartError`` rather
     than returning an empty list.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     profiles = model.profiles
     if user.user_id not in profiles:
         raise ColdStartError(f"user {user.user_id!r} is not in the training matrix")
@@ -253,8 +254,7 @@ def recommend_upa(model: UPAModel, user: UserProfile, k: int) -> RecommendationL
     similarity to the query (``_unseen`` cuts a ranking ``k + len(profile)``
     deep). A profile with no content at all yields an empty list.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     vectors = model.index.vectors
     aggregated: dict[int, float] = {}
     for item_id in user.items:
@@ -334,8 +334,7 @@ def recommend_sup(model: SUPModel, user: UserProfile, k: int) -> RecommendationL
     Voters are processed in ascending item-id order, so the result never
     depends on how the profile mapping happens to be ordered.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     depth = model.votes_per_item + len(user.items)
     vectors = model.index.vectors
     votes: dict[str, float] = {}

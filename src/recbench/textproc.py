@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError
 from importlib import resources
 from itertools import accumulate, chain
 
-from .corpus import ContentCorpus
+from .corpus import ContentCorpus, _positive_int, _require
 from .errors import ConfigurationError, decode_error
 
 # a run of one letter or digit is never a token, so it is never matched
@@ -336,8 +336,7 @@ def top_k_similar(index: DocumentIndex, query: SparseVector, k: int) -> list[tup
     instead. Both paths score an item by the same sum in the same order and
     select by the same key, so they return the same list, bit for bit.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require("k", k, _positive_int)
     qnorm = query.norm
     if qnorm == 0.0:
         return []

@@ -324,6 +324,7 @@ class TestCompare:
                 ("infinite-score", "lists.csv:2:", "is not finite: inf"),
                 ("rank-2-nan-score", "lists.csv:3:", "is not finite: nan"),
                 ("rank-2-score-rises", "lists.csv:3:", "non-increasing"),
+                ("rank-11-row", "lists.csv:3:", "11 entries exceed target_k=10"),
             )
         ],
     )
@@ -339,6 +340,15 @@ class TestCompare:
             first[header.index("rank")] = "first"
         elif case == "non-numeric-score":
             first[header.index("score")] = "high"
+        elif case == "rank-11-row":
+            # the run's largest k is 10: extend the first list to rank 11, inserting the
+            # new rows after rank 1 in descending rank, so that rank 11 is on line 3
+            rank, item = header.index("rank"), header.index("item_id")
+            last = [row for row in rows if row[:rank] == first[:rank]][-1]
+            for r in range(int(last[rank]) + 1, 12):
+                row = list(last)  # the list's last score again: scores may tie
+                row[rank], row[item] = str(r), f"extra{r}"
+                rows.insert(2, row)
         elif case in ("nan-score", "infinite-score"):
             # a NaN compares false with its neighbours, so only a finiteness check finds it
             first[header.index("score")] = "nan" if case == "nan-score" else "inf"

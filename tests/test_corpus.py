@@ -449,7 +449,10 @@ class TestSplits:
             plan_splits(_protocol_ds(), **{name: value})
 
     def test_fold_out_of_range(self):
+        """A fold is an ``int`` in [0, fold_count), not a ``bool``: a fractional
+        fold would be an empty split, and ``True`` fold 1."""
         ds = _protocol_ds()
         plan = plan_splits(ds, fold_count=3)
-        with pytest.raises(ValueError):
-            materialize_split(ds, plan, 3)
+        for fold in (-1, 3, 1.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"fold must be an integer in [0, 3), got {fold!r}")):
+                materialize_split(ds, plan, fold)

@@ -1,11 +1,35 @@
-"""The library API that README's "Library use" documents is what the package exports."""
+"""The library API that README's "Library use" documents is what the package exports,
+and its entry points check their counts by the config's rule."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import recbench
+from recbench import (
+    UserProfile,
+    build_index,
+    evaluate,
+    fit_cf,
+    fit_sup,
+    fit_upa,
+    hit_intersection,
+    jaccard_list_similarity,
+    recommend_cf,
+    recommend_sup,
+    recommend_upa,
+)
 from recbench import errors
+from recbench.corpus import ContentCorpus
+from recbench.metrics import average_precision_at_k
+from recbench.recommenders import RecommendationList
+from recbench.textproc import top_k_similar
+
+from conftest import dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +89,43 @@ def test_the_benchmark_imports_exported_names():
     }
     assert {name for _, name in imported} >= {"build_index", "load_content", "tokenize"}
     assert sorted(pair for pair in imported if pair[1] not in recbench.__all__) == []
+
+
+def _count_entry_points():
+    """Each library entry point that takes a count, as (parameter, call with
+    that count), on inputs that are valid apart from the count."""
+    train = dataset([("u1", "i1", 5), ("u1", "i2", 3), ("u2", "i1", 4), ("u2", "i3", 2)])
+    corpus = ContentCorpus({"i1": {"t": "red blue"}, "i2": {"t": "red green"}, "i3": {"t": "blue green"}})
+    index = build_index(corpus, ("t",))
+    user = UserProfile("u1", train.profiles["u1"])
+    lists = {"u1": RecommendationList("u1", (("i3", 1.0),), target_k=5)}
+    hidden = {"u1": frozenset({"i3"})}
+    return {
+        "recommend_cf": ("k", lambda k: recommend_cf(fit_cf(train), user, k)),
+        "recommend_sup": ("k", lambda k: recommend_sup(fit_sup(index), user, k)),
+        "recommend_upa": ("k", lambda k: recommend_upa(fit_upa(index), user, k)),
+        "evaluate": ("k", lambda k: evaluate(lists, hidden, {"i1", "i2", "i3"}, k)),
+        "jaccard_list_similarity": ("k", lambda k: jaccard_list_similarity(lists, lists, k)),
+        "hit_intersection": ("k", lambda k: hit_intersection(lists, lists, hidden, k)),
+        "average_precision_at_k": ("k", lambda k: average_precision_at_k(lists["u1"], hidden["u1"], k)),
+        "top_k_similar": ("k", lambda k: top_k_similar(index, index.vectors["i1"], k)),
+        "RecommendationList": ("target_k", lambda k: RecommendationList("u1", (), k)),
+    }
+
+
+COUNT_ENTRY_POINTS = _count_entry_points()
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@settings(max_examples=20, deadline=None)
+@given(value=st.one_of(st.integers(max_value=0), st.floats(), st.booleans(), st.text(), st.none()))
+@example(value=0)
+@example(value=2.5)
+@example(value=True)
+@example(value="5")
+def test_every_count_is_checked_by_the_config_rule(entry, value):
+    """The rule a run's config uses (an ``int`` of at least 1, not a ``bool``):
+    a fractional k would otherwise fail later as a ``TypeError``."""
+    name, call = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {re.escape(repr(value))}$"):
+        call(value)

@@ -116,7 +116,7 @@ class TestBatchMetrics:
             evaluate({"u": rl("u", ["a"])}, {}, {"a"}, 5)
 
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="^k must be a positive integer, got 0$"):
             evaluate({"u": rl("u", ["a"])}, {"u": {"a"}}, {"a"}, 0)
 
     def test_evaluate_matches_individual_functions_exactly(self):

@@ -68,6 +68,28 @@ class TestRecommendationList:
         with pytest.raises(ValueError):
             RecommendationList("u", (("a", 1.0), ("b", 0.5)), target_k=1)
 
+    @pytest.mark.parametrize(
+        "second, target_k, message",
+        [
+            (("b", 0.5), 1, "2 entries exceed target_k=1"),
+            (("a", 0.5), 5, "duplicate item 'a'"),
+            (("b", math.nan), 5, "score of item 'b' is not finite: nan"),
+            (("b", 2.0), 5, "scores must be non-increasing"),
+        ],
+        ids=["count", "duplicate", "nan", "rising"],
+    )
+    def test_reads_no_entry_after_the_rejected_one(self, second, target_k, message):
+        entries = iter([("a", 1.0), second, ("unread", 0.0)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RecommendationList("u", entries, target_k=target_k)
+        assert list(entries) == [("unread", 0.0)]
+
+    def test_the_first_entry_that_breaks_any_rule_is_named(self):
+        # rank 1's NaN comes before rank 3's repeat, though the repeat rule is checked first
+        entries = (("a", math.nan), ("b", 1.0), ("b", 0.5))
+        with pytest.raises(ValueError, match=r"^score of item 'a' is not finite: nan$"):
+            RecommendationList("u", entries, target_k=5)
+
     def test_item_ids_prefix(self):
         lst = RecommendationList("u", (("a", 3.0), ("b", 2.0), ("c", 1.0)), target_k=5)
         assert lst.item_ids(2) == ("a", "b")
