@@ -12,8 +12,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import combinations, groupby
-from operator import add, attrgetter, itemgetter, length_hint
+from operator import add, itemgetter, length_hint
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (
     INTERACTION_FORMATS,
@@ -23,7 +24,7 @@ from .corpus import (
     materialize_split,
     plan_splits,
 )
-from .errors import ConfigurationError, RecbenchError, decode_error
+from .errors import ConfigurationError, ParseError, decode_error
 from .metrics import evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import ALGORITHMS, RecommendationList, UserProfile
 from .textproc import (
@@ -39,6 +40,10 @@ log = logging.getLogger("recbench")
 
 # the selection label of lists from an algorithm that reads no content
 NO_SELECTION_LABEL = "-"
+
+# the columns of lists.csv and hidden.csv, in file order
+LISTS_COLUMNS = ("algorithm", "attribute_selection", "fold", "user_id", "rank", "item_id", "score")
+HIDDEN_COLUMNS = ("fold", "user_id", "item_id")
 
 
 @dataclass
@@ -258,9 +263,9 @@ def selection_label(selection) -> str:
     return "+".join(selection)
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One metric value for one (algorithm, selection, fold, k) cell."""
+class ReportRecord(NamedTuple):
+    """One metric value for one (algorithm, selection, fold, k) cell: a row of
+    ``records.csv``, whose columns are these fields and whose rows are sorted."""
 
     algorithm: str
     attribute_selection: str
@@ -270,9 +275,9 @@ class ReportRecord:
     value: float
 
 
-@dataclass(frozen=True)
-class IntersectionRecord:
-    """Run-level hit overlap between two algorithms at one cutoff."""
+class IntersectionRecord(NamedTuple):
+    """Run-level hit overlap between two algorithms at one cutoff: a row of
+    ``intersections.csv``, whose columns are these fields and whose rows are sorted."""
 
     algorithm_a: str
     algorithm_b: str
@@ -435,7 +440,7 @@ def _evaluate(lists, hidden, catalog_set, k_values, list_sets):
                     records.append(ReportRecord(pair, label, fold, k, "jaccard", overlap))
                     counts.update(hit_intersection(lists_a, lists_b, fold_hidden, k))
                 intersections.append(IntersectionRecord(name_a, name_b, label, k, **counts))
-    intersections.sort(key=attrgetter("algorithm_a", "algorithm_b", "attribute_selection", "k"))
+    intersections.sort()
     return records, intersections
 
 
@@ -447,10 +452,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _sorted_records(records) -> list[ReportRecord]:
-    return sorted(records, key=attrgetter("algorithm", "attribute_selection", "fold", "k", "metric"))
 
 
 def _pstdev(values: Sequence[float]) -> float:
@@ -516,19 +517,16 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
     out.mkdir(parents=True, exist_ok=True)
     written = ["records.csv", "records.json", "summary.csv", "intersections.csv"]
 
-    records = _sorted_records(result.records)
-    columns = [f.name for f in fields(ReportRecord)]
-    rows = list(map(attrgetter(*columns), records))
-    _write_csv(out / "records.csv", columns, rows)
+    records = sorted(result.records)
+    _write_csv(out / "records.csv", ReportRecord._fields, records)
     with open(out / "records.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump([dict(zip(columns, row)) for row in rows], fh, indent=2)
+        json.dump([r._asdict() for r in records], fh, indent=2)
         fh.write("\n")
 
     summary = summarize(records)
     header = ["algorithm", "attribute_selection", "k", "metric", "mean", "std"]
     _write_csv(out / "summary.csv", header, summary)
-    columns = [f.name for f in fields(IntersectionRecord)]
-    _write_csv(out / "intersections.csv", columns, map(attrgetter(*columns), result.intersections))
+    _write_csv(out / "intersections.csv", IntersectionRecord._fields, result.intersections)
 
     if len({r.k for r in records}) >= 2:
         _write_plot_data(out / "plot_data.csv", summary, result.intersections)
@@ -538,26 +536,20 @@ def write_run_dir(result: ExperimentResult, config: ExperimentConfig, out_dir) -
         (out / "plot_data.csv").unlink(missing_ok=True)
         log.info("skipping plot_data.csv: only one k value configured")
 
-    _write_csv(
-        out / "lists.csv",
-        ["algorithm", "attribute_selection", "fold", "user_id", "rank", "item_id", "score"],
-        (
-            (*key, user_id, rank, item_id, score)
-            for key, lists in sorted(result.lists.items())
-            for user_id, lst in sorted(lists.items())
-            for rank, (item_id, score) in enumerate(zip(lst.item_ids(), lst.scores), start=1)
-        ),
+    list_rows = (
+        (*key, user_id, rank, item_id, score)
+        for key, lists in sorted(result.lists.items())
+        for user_id, lst in sorted(lists.items())
+        for rank, (item_id, score) in enumerate(zip(lst.item_ids(), lst.scores), start=1)
     )
-    _write_csv(
-        out / "hidden.csv",
-        ["fold", "user_id", "item_id"],
-        (
-            (fold, user_id, item_id)
-            for fold, per_user in sorted(result.hidden.items())
-            for user_id in sorted(per_user)
-            for item_id in sorted(per_user[user_id])
-        ),
+    _write_csv(out / "lists.csv", LISTS_COLUMNS, list_rows)
+    hidden_rows = (
+        (fold, user_id, item_id)
+        for fold, per_user in sorted(result.hidden.items())
+        for user_id in sorted(per_user)
+        for item_id in sorted(per_user[user_id])
     )
+    _write_csv(out / "hidden.csv", HIDDEN_COLUMNS, hidden_rows)
 
     with open(out / "config.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(config.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -581,8 +573,10 @@ def read_run_lists(run_dir):
     more or fewer fields than its header is an error there.
     A list's ranks must run exactly 1..n: a gap or a repeated rank is an error.
     A list ``RecommendationList`` rejects is an error at the row that breaks
-    the rule: a row past the largest k, a repeated item, a non-finite score or
-    a rising score.
+    the rule: a row past the largest k, an empty or repeated item, a
+    non-finite score or a rising score; so is a hidden row with an empty item.
+    Each of these errors is a ``ParseError`` naming the file, and the row
+    unless the rule is on the whole file or list.
     """
     run = Path(run_dir)
 
@@ -594,39 +588,40 @@ def read_run_lists(run_dir):
 
     config = ExperimentConfig._from_file(run / "config.json", saved_config_problems)
     target_k = max(config.k_values)
-    hidden_path = run / "hidden.csv"
+    hidden_path = str(run / "hidden.csv")
     sets: dict[str, set[str]] = {}
     folds: dict[str, str] = {}  # each user's fold, as its first row names it
-    for line, (fold, user_id, item_id) in _csv_rows(hidden_path, ("fold", "user_id", "item_id")):
+    for line, (fold, user_id, item_id) in _csv_rows(hidden_path, HIDDEN_COLUMNS):
         if folds.setdefault(user_id, fold) != fold:
-            raise RecbenchError(
-                f"{hidden_path}:{line}: user {user_id!r} is in fold {fold} here "
-                f"but in fold {folds[user_id]} above; a run places each test user in one fold"
+            raise ParseError(
+                f"user {user_id!r} is in fold {fold} here but in fold {folds[user_id]} above; "
+                "a run places each test user in one fold", hidden_path, line
             )
+        if not item_id:
+            raise ParseError("item_id must be a non-empty string", hidden_path, line)
         sets.setdefault(user_id, set()).add(item_id)
     if not sets:
-        raise RecbenchError(f"{hidden_path}: no hidden items, so the run has no test users")
+        raise ParseError("no hidden items, so the run has no test users", hidden_path)
     hidden = {u: frozenset(s) for u, s in sets.items()}
     # (rank, item, score, line) per (algorithm, selection) and user
     rows_by_key: dict[tuple[str, str], dict[str, list[tuple[int, str, float, int]]]] = {
         key: {u: [] for u in hidden} for keys in config.list_sets().values() for key in keys
     }
-    lists_path = run / "lists.csv"
-    columns = ("algorithm", "attribute_selection", "user_id", "rank", "item_id", "score")
+    lists_path = str(run / "lists.csv")
+    columns = tuple(c for c in LISTS_COLUMNS if c != "fold")  # a user's lists pool across folds
     for line, (algorithm, selection, user_id, rank, item_id, score) in _csv_rows(lists_path, columns):
         try:
             rank, score = int(rank), float(score)
         except ValueError:
-            raise RecbenchError(
-                f"{lists_path}:{line}: rank {rank!r} is not an integer "
-                f"or score {score!r} is not a number"
+            raise ParseError(
+                f"rank {rank!r} is not an integer or score {score!r} is not a number", lists_path, line
             ) from None
         try:
             rows = rows_by_key[algorithm, selection][user_id]
         except KeyError:
-            raise RecbenchError(
-                f"{lists_path}:{line}: no {algorithm}/{selection} list "
-                f"of user {user_id!r} in the run's config.json and hidden.csv"
+            raise ParseError(
+                f"no {algorithm}/{selection} list of user {user_id!r} in the run's config.json and hidden.csv",
+                lists_path, line,
             ) from None
         rows.append((rank, item_id, score, line))
     lists: dict[tuple[str, str], dict[str, RecommendationList]] = {}
@@ -636,9 +631,9 @@ def read_run_lists(run_dir):
             rows.sort()
             for expected, (rank, _, _, line) in enumerate(rows, start=1):
                 if rank != expected:
-                    raise RecbenchError(
-                        f"{lists_path}:{line}: the {'/'.join(key)} list of user {user_id!r} "
-                        f"has rank {rank} where rank {expected} belongs; ranks must run 1..n"
+                    raise ParseError(
+                        f"the {'/'.join(key)} list of user {user_id!r} "
+                        f"has rank {rank} where rank {expected} belongs; ranks must run 1..n", lists_path, line
                     )
             # the constructor reads the rows one by one and raises at the first
             # that breaks a rule: that row is the last one read (none, for a rule
@@ -648,10 +643,8 @@ def read_run_lists(run_dir):
                 lists[key][user_id] = RecommendationList(user_id, map(itemgetter(1, 2), it), target_k)
             except ValueError as exc:
                 read = len(rows) - length_hint(it)
-                where = f"{lists_path}:{rows[read - 1][3]}" if read else lists_path
-                raise RecbenchError(
-                    f"{where}: the {'/'.join(key)} list of user {user_id!r}: {exc}"
-                ) from None
+                message = f"the {'/'.join(key)} list of user {user_id!r}: {exc}"
+                raise ParseError(message, lists_path, rows[read - 1][3] if read else None) from None
     return lists, hidden
 
 
@@ -669,18 +662,17 @@ def _csv_rows(path, columns):
             position = {name: i for i, name in enumerate(header)}  # the last of repeated names
             missing = [c for c in columns if c not in position]
             if missing:
-                raise RecbenchError(f"{path}:1: missing column(s) {', '.join(missing)}")
+                raise ParseError(f"missing column(s) {', '.join(missing)}", str(path), 1)
             pick = itemgetter(*(position[c] for c in columns))
             width = len(header)
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue
-                    raise RecbenchError(
-                        f"{path}:{reader.line_num}: {len(row)} fields where the header has {width}"
-                    )
+                    message = f"{len(row)} fields where the header has {width}"
+                    raise ParseError(message, str(path), reader.line_num)
                 yield reader.line_num, pick(row)
         except UnicodeDecodeError:
             raise decode_error(path) from None
         except csv.Error as exc:
-            raise RecbenchError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ParseError(str(exc), str(path), reader.line_num) from None

@@ -53,9 +53,9 @@ class RecommendationList(FrozenSlots):
     scores, each passed through ``float()``, in one ``array("d")``, which
     holds every double exactly at 8 bytes and no float object per entry.
     Entries are checked as they are read, each by these rules in this order:
-    at most ``target_k`` entries, no repeated item, a finite score, and no
-    score above the one before. The first entry that breaks a rule raises
-    ``ValueError``, and no entry after it is read.
+    at most ``target_k`` entries, a non-empty item id, no repeated item, a
+    finite score, and no score above the one before. The first entry that
+    breaks a rule raises ``ValueError``, and no entry after it is read.
     ``item_ids(k)`` slices the ids tuple; ``scores`` and ``entries`` (the
     pairs) are tuples built on each read. The list is immutable and
     pickles as its constructor arguments.
@@ -67,15 +67,18 @@ class RecommendationList(FrozenSlots):
         if not user_id:
             raise ValueError("user_id must be a non-empty string")
         _require("target_k", target_k, _positive_int)
-        ids, scores, seen = [], [], set()
         # a good entry passes one test, and only a bad one works out which rule it
-        # broke; the score range ends at the largest finite float, so inf and nan fail it
+        # broke; the empty id starts out seen, so the membership test fails an empty
+        # item too, and the score range ends at the largest finite float, so inf and nan fail it
+        ids, scores, seen = [], [], {""}
         low, last = -math.inf, sys.float_info.max
         for item_id, score in entries:
             score = float(score)
             if len(ids) == target_k or item_id in seen or not low < score <= last:
                 if len(ids) == target_k:
                     raise ValueError(f"{target_k + 1} entries exceed target_k={target_k}")
+                if item_id == "":
+                    raise ValueError("item_id must be a non-empty string")
                 if item_id in seen:
                     raise ValueError(f"duplicate item {item_id!r} in recommendation list")
                 if not math.isfinite(score):

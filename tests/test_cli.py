@@ -320,6 +320,7 @@ class TestCompare:
                 ("non-integer-rank", "lists.csv:2:", "rank 'first' is not an integer"),
                 ("non-numeric-score", "lists.csv:2:", "score 'high' is not a number"),
                 ("repeated-item", "lists.csv:3:", "duplicate item"),
+                ("empty-item-id", "lists.csv:2:", "item_id must be a non-empty string"),
                 ("nan-score", "lists.csv:2:", "is not finite: nan"),
                 ("infinite-score", "lists.csv:2:", "is not finite: inf"),
                 ("rank-2-nan-score", "lists.csv:3:", "is not finite: nan"),
@@ -340,6 +341,8 @@ class TestCompare:
             first[header.index("rank")] = "first"
         elif case == "non-numeric-score":
             first[header.index("score")] = "high"
+        elif case == "empty-item-id":
+            first[header.index("item_id")] = ""
         elif case == "rank-11-row":
             # the run's largest k is 10: extend the first list to rank 11, inserting the
             # new rows after rank 1 in descending rank, so that rank 11 is on line 3
@@ -543,6 +546,7 @@ class TestCompare:
                 ("user-in-two-folds", "hidden.csv:", "but in fold 0 above; a run places each test user in one fold"),
                 # the user's lists have no row to name, so the file is named
                 ("empty-hidden-user-id", "lists.csv: the cf/- list of user ''", "user_id must be a non-empty string"),
+                ("empty-hidden-item-id", "hidden.csv:2:", "item_id must be a non-empty string"),
                 ("unconfigured-list-set", "lists.csv:2:", "no upa/all list of user"),
                 ("malformed-algorithms", "config.json:", "algorithms must be a non-empty mapping"),
                 ("malformed-selections", "config.json:", 'attribute selection must be "all" or'),
@@ -558,7 +562,10 @@ class TestCompare:
             rows = list(csv.reader(fh))
         header, first = rows[:2]
         config = json.loads((broken / "config.json").read_text())
-        if case in ("user-without-hidden-set", "no-hidden-rows", "user-in-two-folds", "empty-hidden-user-id"):
+        if case in (
+            "user-without-hidden-set", "no-hidden-rows", "user-in-two-folds", "empty-hidden-user-id",
+            "empty-hidden-item-id",
+        ):
             with open(broken / "hidden.csv", encoding="utf-8", newline="") as fh:
                 hidden_rows = list(csv.reader(fh))
             if case == "no-hidden-rows":
@@ -570,6 +577,9 @@ class TestCompare:
                 kept = [*hidden_rows, ["1", user, "an-item-of-fold-1"]]
             elif case == "empty-hidden-user-id":
                 kept = [*hidden_rows, ["0", "", "an-item"]]
+            elif case == "empty-hidden-item-id":
+                hidden_rows[1][2] = ""
+                kept = hidden_rows
             else:
                 user = first[header.index("user_id")]
                 kept = [row for row in hidden_rows if row[1] != user]

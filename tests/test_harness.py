@@ -3,7 +3,6 @@ import json
 import math
 import random
 import weakref
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from recbench import (
     ConfigurationError,
     ExperimentConfig,
     ExperimentResult,
+    ParseError,
     RecbenchError,
     ReportRecord,
     evaluate,
@@ -457,7 +457,7 @@ class TestRunDir:
 
         with open(out / "intersections.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        count_columns = [f.name for f in fields(IntersectionRecord)][4:]
+        count_columns = list(IntersectionRecord._fields[4:])
         assert rows[0][4:] == count_columns
         k = cfg.k_values[0]
         totals = {name: 0 for name in count_columns}
@@ -543,3 +543,82 @@ class TestRunDir:
         write_run_dir(result, cfg, tmp_path / "run")
         with pytest.raises(RecbenchError, match=r"hidden.csv:3: user 'u1' is in fold 1 here but in fold 0 above"):
             read_run_lists(tmp_path / "run")
+
+
+def _with(line, column, value):
+    """An edit of a CSV file's rows that sets ``column`` of the physical
+    ``line`` (the header is line 1) to ``value``."""
+
+    def edit(rows):
+        rows = [list(row) for row in rows]
+        rows[line - 1][rows[0].index(column)] = value
+        return rows
+
+    return edit
+
+
+class TestRunDirErrors:
+    """Every located error of ``read_run_lists`` is a ``ParseError`` whose
+    ``.path`` names the file and ``.line`` the row, or ``None`` for a rule on
+    the whole file or list."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        # lists.csv: header, u1 rank 1 and 2 (lines 2-3), u2 (line 4), u3 (line 5);
+        # hidden.csv: header, u1, u2, then u3's two items (lines 2-5)
+        lists = {
+            ("cf", "-", 0): {
+                "u1": RecommendationList("u1", (("a", 2.0), ("b", 1.5)), target_k=2),
+                "u2": RecommendationList("u2", (("c", 1.0),), target_k=2),
+            },
+            ("cf", "-", 1): {"u3": RecommendationList("u3", (("c", 0.5),), target_k=2)},
+        }
+        hidden = {0: {"u1": frozenset({"x"}), "u2": frozenset({"y"})}, 1: {"u3": frozenset({"c", "z"})}}
+        result = ExperimentResult(records=[], intersections=[], lists=lists, hidden=hidden, catalog=("a",))
+        cfg = ExperimentConfig(interactions_path="unused.tsv", algorithms={"cf": {}}, k_values=[2])
+        write_run_dir(result, cfg, tmp_path / "run")
+        return tmp_path / "run"
+
+    @pytest.mark.parametrize(
+        "edited, edit, named, line",
+        [
+            pytest.param("lists.csv", _with(3, "rank", "3"), "lists.csv", 3, id="rank-gap"),
+            pytest.param("lists.csv", _with(3, "item_id", "a"), "lists.csv", 3, id="repeated-item"),
+            pytest.param("lists.csv", _with(2, "item_id", ""), "lists.csv", 2, id="empty-item"),
+            pytest.param("lists.csv", _with(3, "score", "nan"), "lists.csv", 3, id="nan-score"),
+            pytest.param("lists.csv", _with(4, "rank", "first"), "lists.csv", 4, id="non-integer-rank"),
+            pytest.param(
+                "lists.csv", lambda rows: [*rows, ["cf", "-", "0", "u1", "3", "d", "1.0"]], "lists.csv", 6,
+                id="row-past-largest-k",
+            ),
+            pytest.param(
+                "lists.csv", lambda rows: [*rows[:2], [*rows[2], "extra"], *rows[3:]], "lists.csv", 3,
+                id="field-count-mismatch",
+            ),
+            pytest.param("lists.csv", _with(1, "score", "points"), "lists.csv", 1, id="missing-column"),
+            pytest.param("lists.csv", _with(5, "algorithm", "upa"), "lists.csv", 5, id="unknown-list"),
+            pytest.param(
+                "hidden.csv", _with(3, "item_id", "x" * (csv.field_size_limit() + 1)), "hidden.csv", 3,
+                id="field-over-the-csv-limit",
+            ),
+            pytest.param(
+                "hidden.csv", lambda rows: [*rows, ["1", "u1", "w"]], "hidden.csv", 6, id="user-in-two-folds"
+            ),
+            pytest.param("hidden.csv", _with(2, "item_id", ""), "hidden.csv", 2, id="empty-hidden-item"),
+            pytest.param("hidden.csv", lambda rows: rows[:1], "hidden.csv", None, id="no-hidden-rows"),
+            # the empty user's list has no row to name
+            pytest.param(
+                "hidden.csv", lambda rows: [*rows, ["0", "", "q"]], "lists.csv", None, id="empty-hidden-user"
+            ),
+        ],
+    )
+    def test_a_malformed_run_directory_raises_a_located_parse_error(self, run, edited, edit, named, line):
+        with open(run / edited, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(run / edited, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(edit(rows))
+        with pytest.raises(ParseError) as exc:
+            read_run_lists(run)
+        assert (exc.value.path, exc.value.line) == (str(run / named), line)
+        where = f"{run / named}:" if line is None else f"{run / named}:{line}:"
+        assert str(exc.value).startswith(f"{where} ")

@@ -72,11 +72,12 @@ class TestRecommendationList:
         "second, target_k, message",
         [
             (("b", 0.5), 1, "2 entries exceed target_k=1"),
+            (("", 0.5), 5, "item_id must be a non-empty string"),
             (("a", 0.5), 5, "duplicate item 'a'"),
             (("b", math.nan), 5, "score of item 'b' is not finite: nan"),
             (("b", 2.0), 5, "scores must be non-increasing"),
         ],
-        ids=["count", "duplicate", "nan", "rising"],
+        ids=["count", "empty-item", "duplicate", "nan", "rising"],
     )
     def test_reads_no_entry_after_the_rejected_one(self, second, target_k, message):
         entries = iter([("a", 1.0), second, ("unread", 0.0)])
