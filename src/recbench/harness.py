@@ -29,7 +29,6 @@ from .metrics import evaluate, hit_intersection, jaccard_list_similarity
 from .recommenders import ALGORITHMS, RecommendationList, UserProfile
 from .textproc import (
     build_index,
-    check_selection,
     default_stopwords,
     empty_vocabulary,
     load_stopwords,
@@ -163,7 +162,7 @@ class ExperimentConfig:
                     continue
                 for p in sorted(set(params) - set(spec.params)):
                     problems.append(f"unknown parameter {p!r} for algorithm {name!r}")
-                for p, (_, check) in spec.params.items():
+                for p, check in spec.params.items():
                     problem = check(params[p]) if p in params else None
                     if problem:
                         problems.append(f"{name}.{p} {problem}, got {params[p]!r}")
@@ -232,17 +231,6 @@ class ExperimentConfig:
                 for name in sorted(self.algorithms)
             ]
             for label in labels
-        }
-
-    def resolved_algorithms(self) -> dict[str, dict[str, object]]:
-        """Configured algorithms with defaults filled in for missing params."""
-        return {
-            name: {
-                **{p: default for p, (default, _) in spec.params.items()},
-                **(self.algorithms[name] or {}),
-            }
-            for name, spec in ALGORITHMS.items()
-            if name in self.algorithms
         }
 
     def to_json_dict(self) -> dict:
@@ -321,9 +309,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     config.validate()
     ds = load_interactions(config.interactions_path, format=config.interactions_format)
-    algorithms = [
-        (ALGORITHMS[name], params) for name, params in sorted(config.resolved_algorithms().items())
-    ]
+    algorithms = [(ALGORITHMS[name], params or {}) for name, params in sorted(config.algorithms.items())]
     fold_algorithms = [(spec, params) for spec, params in algorithms if not spec.needs_content]
     content_algorithms = [(spec, params) for spec, params in algorithms if spec.needs_content]
     if content_algorithms:
@@ -365,16 +351,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _load_content(config, items):
-    """The tokenized content and ``{report label: attribute names}``; a
-    selection with an unknown attribute or an empty vocabulary raises
-    ``ConfigurationError``."""
+    """The tokenized content and ``{report label: attribute names}``. The
+    token pass names every selected attribute that no document has, and then
+    every selection with an empty vocabulary, in one ``ConfigurationError``."""
     corpus = load_content(config.content_path)
     gaps = len(set(items).difference(corpus.documents))
     if gaps:
         log.info("%d of %d items have no content document", gaps, len(items))
     stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else default_stopwords()
     selections = {
-        selection_label(sel): check_selection(corpus, corpus.attribute_names() if sel == "all" else sel)
+        selection_label(sel): corpus.attribute_names() if sel == "all" else tuple(sel)
         for sel in config.attribute_selections
     }
     # one pass tokenizes every selected attribute; no later step reads the
@@ -563,9 +549,10 @@ def read_run_lists(run_dir):
     Returns ``(lists, hidden)`` where lists maps (algorithm, selection) to
     {user_id: RecommendationList} pooled across folds, and hidden maps
     user_id to the user's hidden item set; a user ``hidden.csv`` places in
-    two folds is an error. The run's ``config.json`` must
-    hold every field and pass ``ExperimentConfig.problems()``; its paths need
-    not exist here. The list sets are its ``list_sets()``, and each holds a
+    two folds is an error, and so is a list row in another fold than the
+    one ``hidden.csv`` gives its user. The run's ``config.json`` must hold
+    every field and pass ``ExperimentConfig.problems()``; its paths need not
+    exist here. The list sets are its ``list_sets()``, and each holds a
     list for every user of ``hidden.csv``: an empty list has no rows in
     ``lists.csv``, so even a set whose lists are all empty is restored.
     Every list's ``target_k`` is the run's largest k: the lists were cut there.
@@ -608,8 +595,8 @@ def read_run_lists(run_dir):
         key: {u: [] for u in hidden} for keys in config.list_sets().values() for key in keys
     }
     lists_path = str(run / "lists.csv")
-    columns = tuple(c for c in LISTS_COLUMNS if c != "fold")  # a user's lists pool across folds
-    for line, (algorithm, selection, user_id, rank, item_id, score) in _csv_rows(lists_path, columns):
+    list_rows = _csv_rows(lists_path, LISTS_COLUMNS)
+    for line, (algorithm, selection, fold, user_id, rank, item_id, score) in list_rows:
         try:
             rank, score = int(rank), float(score)
         except ValueError:
@@ -623,6 +610,9 @@ def read_run_lists(run_dir):
                 f"no {algorithm}/{selection} list of user {user_id!r} in the run's config.json and hidden.csv",
                 lists_path, line,
             ) from None
+        if fold != folds[user_id]:
+            message = f"user {user_id!r} is in fold {folds[user_id]} in hidden.csv, not fold {fold}"
+            raise ParseError(message, lists_path, line)
         rows.append((rank, item_id, score, line))
     lists: dict[tuple[str, str], dict[str, RecommendationList]] = {}
     for key, per_user in rows_by_key.items():

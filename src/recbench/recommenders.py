@@ -7,7 +7,8 @@
 All of them return lists sorted by descending score with ties broken by
 ascending item id, never recommend an item from the user's own profile, and
 omit zero-score candidates (a list may therefore be shorter than requested).
-``ALGORITHMS`` holds each one's parameters, defaults and inputs for a run.
+``ALGORITHMS`` holds each one's parameter checks and inputs for a run; a
+parameter's default is the keyword default of ``fit_<name>``, and nowhere else.
 """
 
 import heapq
@@ -22,9 +23,6 @@ from .corpus import InteractionDataset, _positive_int, _require
 from .errors import ColdStartError
 from .textproc import DocumentIndex, FrozenSlots, SparseVector, top_k_similar
 
-DEFAULT_NEIGHBORHOOD_SIZE = 50
-DEFAULT_PROFILE_TERM_BUDGET = 100
-DEFAULT_VOTES_PER_ITEM = 50
 SIMILARITY_METRICS = ("cosine", "pearson")
 
 
@@ -204,7 +202,7 @@ class CFModel:
 
 def fit_cf(
     train: InteractionDataset,
-    neighborhood_size: int = DEFAULT_NEIGHBORHOOD_SIZE,
+    neighborhood_size: int = 50,
     similarity_metric: str = "cosine",
 ) -> CFModel:
     """Fit the collaborative model on a training dataset."""
@@ -243,7 +241,7 @@ class UPAModel:
         _require("profile_term_budget", self.profile_term_budget, _positive_int)
 
 
-def fit_upa(index: DocumentIndex, profile_term_budget: int = DEFAULT_PROFILE_TERM_BUDGET) -> UPAModel:
+def fit_upa(index: DocumentIndex, profile_term_budget: int = 100) -> UPAModel:
     return UPAModel(index=index, profile_term_budget=profile_term_budget)
 
 
@@ -322,7 +320,7 @@ class SUPModel:
         return zip(ids, scores)
 
 
-def fit_sup(index: DocumentIndex, votes_per_item: int = DEFAULT_VOTES_PER_ITEM) -> SUPModel:
+def fit_sup(index: DocumentIndex, votes_per_item: int = 50) -> SUPModel:
     return SUPModel(index=index, votes_per_item=votes_per_item)
 
 
@@ -361,14 +359,14 @@ class AlgorithmSpec:
     """How a run configures, fits and queries one recommender.
 
     ``params`` maps each parameter, named as the keyword of ``fit_<name>``,
-    to its default and a check that returns why a value is invalid, or
-    ``None`` for a valid one. An algorithm that ``needs_content`` is fitted
-    on an attribute selection's ``DocumentIndex``, any other on a fold's
-    training ``InteractionDataset``.
+    to a check that returns why a value is invalid, or ``None`` for a valid
+    one; a parameter left out takes ``fit_<name>``'s keyword default. An
+    algorithm that ``needs_content`` is fitted on an attribute selection's
+    ``DocumentIndex``, any other on a fold's training ``InteractionDataset``.
     """
 
     name: str
-    params: Mapping[str, tuple[object, Callable[[object], str | None]]]
+    params: Mapping[str, Callable[[object], str | None]]
     needs_content: bool
 
     # fit_<name> and recommend_<name> are looked up when called, not when the
@@ -386,19 +384,10 @@ ALGORITHMS: Mapping[str, AlgorithmSpec] = {
     for spec in (
         AlgorithmSpec(
             "cf",
-            {
-                "neighborhood_size": (DEFAULT_NEIGHBORHOOD_SIZE, _positive_int),
-                "similarity_metric": ("cosine", _similarity_metric),
-            },
+            {"neighborhood_size": _positive_int, "similarity_metric": _similarity_metric},
             needs_content=False,
         ),
-        AlgorithmSpec(
-            "sup", {"votes_per_item": (DEFAULT_VOTES_PER_ITEM, _positive_int)}, needs_content=True
-        ),
-        AlgorithmSpec(
-            "upa",
-            {"profile_term_budget": (DEFAULT_PROFILE_TERM_BUDGET, _positive_int)},
-            needs_content=True,
-        ),
+        AlgorithmSpec("sup", {"votes_per_item": _positive_int}, needs_content=True),
+        AlgorithmSpec("upa", {"profile_term_budget": _positive_int}, needs_content=True),
     )
 }

@@ -9,7 +9,6 @@ import heapq
 import math
 import re
 from array import array
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence, Set as AbstractSet
 from dataclasses import FrozenInstanceError
@@ -142,13 +141,9 @@ class DocumentIndex:
         return len(self.vectors)
 
     def postings(self, term_index: int) -> tuple[tuple[str, float], ...]:
-        """``(item_id, weight)`` for each item carrying the term, in index order."""
-        ids = self._postings.get(term_index, ((), ()))[0]
-        pairs = []
-        for item_id in ids:
-            vec = self.vectors[item_id]
-            pairs.append((item_id, vec.weights[bisect_left(vec.terms, term_index)]))
-        return tuple(pairs)
+        """``(item_id, weight over the item's norm)`` for each item carrying
+        the term, in index order: the stored posting column."""
+        return tuple(zip(*self._postings.get(term_index, ((), ()))))
 
     @property
     def empty_item_ids(self) -> tuple[str, ...]:

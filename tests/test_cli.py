@@ -326,6 +326,7 @@ class TestCompare:
                 ("rank-2-nan-score", "lists.csv:3:", "is not finite: nan"),
                 ("rank-2-score-rises", "lists.csv:3:", "non-increasing"),
                 ("rank-11-row", "lists.csv:3:", "11 entries exceed target_k=10"),
+                ("row-in-another-fold", "lists.csv:2:", "is in fold 0 in hidden.csv, not fold 1"),
             )
         ],
     )
@@ -343,6 +344,9 @@ class TestCompare:
             first[header.index("score")] = "high"
         elif case == "empty-item-id":
             first[header.index("item_id")] = ""
+        elif case == "row-in-another-fold":
+            assert first[header.index("fold")] == "0"
+            first[header.index("fold")] = "1"
         elif case == "rank-11-row":
             # the run's largest k is 10: extend the first list to rank 11, inserting the
             # new rows after rank 1 in descending rank, so that rank 11 is on line 3

@@ -132,13 +132,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             cfg.validate()
 
-    def test_defaults_fill_in(self, paths):
-        cfg = make_config(paths, algorithms={"cf": None, "upa": {"profile_term_budget": 9}})
-        resolved = cfg.resolved_algorithms()
-        assert resolved["cf"]["neighborhood_size"] == 50
-        assert resolved["cf"]["similarity_metric"] == "cosine"
-        assert resolved["upa"]["profile_term_budget"] == 9
-        assert "sup" not in resolved
+    def test_omitted_parameters_run_as_the_fit_defaults(self, paths, tmp_path):
+        """A parameter left out takes ``fit_<name>``'s keyword default: the
+        run's reports are the bytes of the run that spells every one out."""
+        spelled = {
+            "cf": {"neighborhood_size": 50, "similarity_metric": "cosine"},
+            "upa": {"profile_term_budget": 100},
+        }
+        for out, algorithms in (("omitted", {"cf": None, "upa": {}}), ("spelled", spelled)):
+            cfg = make_config(paths, algorithms=algorithms)
+            write_run_dir(run_experiment(cfg), cfg, tmp_path / out)
+        for name in ("records.csv", "summary.csv", "intersections.csv", "lists.csv", "hidden.csv"):
+            assert (tmp_path / "omitted" / name).read_bytes() == (tmp_path / "spelled" / name).read_bytes(), name
 
     def test_readme_example_passes_the_shared_rules(self, tmp_path):
         """The README's experiment.json names only real fields and breaks no
@@ -286,9 +291,14 @@ class TestRunExperiment:
             raise AssertionError("a fold was split before the selections were checked")
 
         monkeypatch.setattr(harness, "materialize_split", no_split)
-        cfg = make_config(paths, attribute_selections=["all", ["nope"]])
-        with pytest.raises(ConfigurationError, match="'nope' does not occur"):
+        # every unknown attribute of every selection is named in the one error
+        cfg = make_config(paths, attribute_selections=["all", ["title", "nope"], ["zilch"]])
+        with pytest.raises(ConfigurationError) as exc:
             run_experiment(cfg)
+        assert exc.value.problems == [
+            "attribute 'nope' does not occur in any document",
+            "attribute 'zilch' does not occur in any document",
+        ]
 
     def test_empty_vocabulary_names_the_selection(self, tmp_path):
         # every protocol_fixture title is a term of its own document only
@@ -597,6 +607,7 @@ class TestRunDirErrors:
             ),
             pytest.param("lists.csv", _with(1, "score", "points"), "lists.csv", 1, id="missing-column"),
             pytest.param("lists.csv", _with(5, "algorithm", "upa"), "lists.csv", 5, id="unknown-list"),
+            pytest.param("lists.csv", _with(4, "fold", "1"), "lists.csv", 4, id="row-in-another-fold"),
             pytest.param(
                 "hidden.csv", _with(3, "item_id", "x" * (csv.field_size_limit() + 1)), "hidden.csv", 3,
                 id="field-over-the-csv-limit",

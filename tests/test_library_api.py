@@ -77,6 +77,20 @@ def test_every_exported_name_resolves():
     assert [name for name in recbench.__all__ if not hasattr(recbench, name)] == []
 
 
+def test_the_algorithms_example_runs_as_written():
+    """The snippet after "`ALGORITHMS` is the table" fits and lists through the
+    table exactly as ``fit_sup``/``recommend_sup`` do, on a toy index."""
+    code = _section().split("\n`ALGORITHMS` is the table", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    words = ("red", "blue", "green", "gold")
+    corpus = ContentCorpus({f"i{n}": {"t": f"{words[n % 4]} {words[n % 3]}"} for n in range(1, 9)})
+    index = build_index(corpus, ("t",))
+    names = {"index": index}
+    exec(code, names)
+    expected = recommend_sup(fit_sup(index, votes_per_item=20), names["profile"], 10)
+    assert names["recs"].item_ids() and names["recs"].entries == expected.entries
+    assert names["recs"].target_k == 10
+
+
 def test_the_benchmark_imports_exported_names():
     # the benchmark's set-up probe and checks import from the package root;
     # a name trimmed from __all__ would fail only inside a benchmark run

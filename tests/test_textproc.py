@@ -212,14 +212,15 @@ class TestBuildIndex:
         with pytest.raises(ConfigurationError, match="vocabulary"):
             build_index(corpus, ("text",))
 
-    def test_postings_are_item_and_raw_weight_pairs_in_index_order(self, toy_corpus):
+    def test_postings_are_item_and_scaled_weight_pairs_in_index_order(self, toy_corpus):
         index = build_index(toy_corpus, ("text",))
         for t in range(len(index.vocabulary)):
             assert index.postings(t) == tuple(
-                (item_id, vec.entries[t]) for item_id, vec in index.vectors.items() if t in vec.entries
+                (item_id, vec.entries[t] / vec.norm) for item_id, vec in index.vectors.items() if t in vec.entries
             )
         red = index.vocabulary.index("red")
-        assert index.postings(red) == (("d1", 2 * math.log(3 / 2)), ("d2", math.log(3 / 2)))
+        d1, d2 = index.vectors["d1"].norm, index.vectors["d2"].norm
+        assert index.postings(red) == (("d1", 2 * math.log(3 / 2) / d1), ("d2", math.log(3 / 2) / d2))
         assert index.postings(len(index.vocabulary)) == ()
 
     def test_index_peak_stays_near_what_the_index_keeps(self):
