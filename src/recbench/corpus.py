@@ -6,6 +6,7 @@ import math
 import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyDatasetError, ParseError, ProtocolError, decode_error
 
@@ -73,26 +74,43 @@ class InteractionDataset:
         return self._profiles
 
 
-def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, float]:
-    """``(user id, item id, rating)`` of one split row: non-empty ids and a
-    finite, non-negative rating."""
+def _rows(path, parse):
+    """Yield ``parse(line)``, line end removed, for each line of the UTF-8
+    text file ``path`` but those it maps to ``None``; a leading BOM is not
+    part of the first line. A ``ValueError`` from ``parse``, or a byte that
+    is not UTF-8, is a ``ParseError`` at its line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    row = parse(line.rstrip("\n"))
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from None
+                if row is not None:
+                    yield row
+        except UnicodeDecodeError:
+            raise decode_error(path) from None
+
+
+def _parse_interaction_row(line: str, format: str) -> tuple[str, str, float] | None:
+    """``(user id, item id, rating)`` of one tab-separated line: non-empty
+    ids and a finite, non-negative rating; ``None`` for a blank or ``#`` line."""
+    if not line.strip() or line.startswith("#"):
+        return None
+    fields = line.split("\t")
+    max_fields = 4 if format == "explicit" else 3  # the last one a timestamp
     if len(fields) < 2:
         raise ValueError(f"expected at least 2 tab-separated fields, got {len(fields)}")
+    if len(fields) > max_fields:
+        raise ValueError(f"expected at most {max_fields} tab-separated fields, got {len(fields)}")
     rating = IMPLICIT_RATING
-    if format == "explicit":
-        if len(fields) > 4:
-            raise ValueError(f"expected at most 4 tab-separated fields, got {len(fields)}")
-        if len(fields) >= 3:
-            try:
-                rating = float(fields[2])
-            except ValueError:
-                raise ValueError(f"invalid rating {fields[2]!r}") from None
-        timestamp = fields[3:]
-    else:
-        if len(fields) > 3:
-            raise ValueError(f"expected at most 3 tab-separated fields, got {len(fields)}")
-        timestamp = fields[2:]
+    if max_fields == 4 and len(fields) >= 3:
+        try:
+            rating = float(fields[2])
+        except ValueError:
+            raise ValueError(f"invalid rating {fields[2]!r}") from None
     # the timestamp is checked but not kept: no step of the protocol reads it
+    timestamp = fields[max_fields - 1:]
     if timestamp:
         try:
             int(timestamp[0])
@@ -105,15 +123,6 @@ def _parse_interaction_row(fields: list[str], format: str) -> tuple[str, str, fl
     if not math.isfinite(rating) or rating < 0:
         raise ValueError(f"rating must be finite and non-negative, got {rating!r}")
     return fields[0], fields[1], rating
-
-
-def _numbered_lines(fh, path):
-    """Yield ``(line number, line)`` from the UTF-8 text file ``fh`` opened
-    from ``path``; bytes that are not UTF-8 raise a located ``ParseError``."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError:
-        raise decode_error(path) from None
 
 
 def load_interactions(path, format: str = "explicit") -> InteractionDataset:
@@ -131,21 +140,13 @@ def load_interactions(path, format: str = "explicit") -> InteractionDataset:
         raise ValueError(f"format must be one of {INTERACTION_FORMATS}, got {format!r}")
     profiles: dict[str, dict[str, float]] = {}
     items: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in _numbered_lines(fh, path):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                user, item, rating = _parse_interaction_row(line.split("\t"), format)
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
-            # every profile keys the item by the one id string that items holds
-            item = items.setdefault(item, item)
-            try:
-                profiles[user][item] = rating
-            except KeyError:
-                profiles[user] = {item: rating}
+    for user, item, rating in _rows(path, partial(_parse_interaction_row, format=format)):
+        # every profile keys the item by the one id string that items holds
+        item = items.setdefault(item, item)
+        try:
+            profiles[user][item] = rating
+        except KeyError:
+            profiles[user] = {item: rating}
     if not profiles:
         raise EmptyDatasetError(f"{path}: no interaction records")
     return InteractionDataset(profiles, items)
@@ -172,52 +173,54 @@ class ContentCorpus:
         return tuple(sorted(names))
 
 
+def _parse_document(line: str) -> tuple[str, dict[str, str]] | None:
+    """``(item id, {attribute: text})`` of one JSON-lines row, scalar
+    attribute values coerced to strings; ``None`` for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+        if "\\u" in line:
+            # a lone surrogate can only come from an escape: no UTF-8 file holds one
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except UnicodeEncodeError:
+        raise ValueError("a \\u escape makes a lone surrogate") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer longer than int() accepts, or nesting deeper than the stack
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    item_id = obj.get("item_id")
+    if not isinstance(item_id, str) or not item_id:
+        raise ValueError("item_id must be a non-empty string")
+    attrs = obj.get("attributes", {})
+    if not isinstance(attrs, dict):
+        raise ValueError("attributes must be an object")
+    clean: dict[str, str] = {}
+    for name, value in attrs.items():
+        if isinstance(value, str):
+            clean[name] = value
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            clean[name] = str(value)
+        else:
+            raise ValueError(f"attribute {name!r} must be text or a number")
+    return item_id, clean
+
+
 def load_content(path) -> ContentCorpus:
-    """Read item documents from a JSON-lines file into a ``ContentCorpus``
-    whose ``documents`` maps each item id to its ``{attribute: text}`` dict.
+    """Read item documents from a UTF-8 JSON-lines file into a
+    ``ContentCorpus`` whose ``documents`` maps each item id to its
+    ``{attribute: text}`` dict.
 
     Each line is an object ``{"item_id": ..., "attributes": {name: text}}``.
     Scalar attribute values are coerced to strings; blank lines are skipped
     and a repeated item_id keeps its last document. A string that escapes a
     lone surrogate (``"\\ud800"``) cannot be written as UTF-8 and is an error.
     """
-    docs: dict[str, dict[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in _numbered_lines(fh, path):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if "\\u" in line:
-                    # a lone surrogate can only come from an escape: no UTF-8 file holds one
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=lineno) from None
-            except UnicodeEncodeError:
-                raise ParseError("a \\u escape makes a lone surrogate", path=str(path), line=lineno) from None
-            except (ValueError, RecursionError) as exc:
-                # an integer longer than int() accepts, or nesting deeper than the stack
-                raise ParseError(f"invalid JSON: {exc}", path=str(path), line=lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", path=str(path), line=lineno)
-            item_id = obj.get("item_id")
-            if not isinstance(item_id, str) or not item_id:
-                raise ParseError("item_id must be a non-empty string", path=str(path), line=lineno)
-            attrs = obj.get("attributes", {})
-            if not isinstance(attrs, dict):
-                raise ParseError("attributes must be an object", path=str(path), line=lineno)
-            clean: dict[str, str] = {}
-            for name, value in attrs.items():
-                if isinstance(value, str):
-                    clean[name] = value
-                elif isinstance(value, (int, float)) and not isinstance(value, bool):
-                    clean[name] = str(value)
-                else:
-                    raise ParseError(
-                        f"attribute {name!r} must be text or a number", path=str(path), line=lineno
-                    )
-            docs[item_id] = clean
+    docs = dict(_rows(path, _parse_document))
     if not docs:
         raise EmptyDatasetError(f"{path}: no item documents")
     return ContentCorpus(docs)

@@ -76,7 +76,7 @@ class ExperimentConfig:
             problems.extend(f"repeated config key {k!r}" for n, k in enumerate(keys) if k in keys[:n])
             return dict(pairs)
 
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh, object_pairs_hook=unique_keys)
             except json.JSONDecodeError as exc:
@@ -482,7 +482,7 @@ def _write_plot_data(path, summary, intersections) -> None:
     counts = [
         ((f"{r.algorithm_a}_x_{r.algorithm_b}", r.attribute_selection, metric), r.k, getattr(r, metric))
         for r in intersections
-        for metric in ("exclusive_a", "exclusive_b", "common")
+        for metric in IntersectionRecord._fields[4:]
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for points in (means, counts):

@@ -15,8 +15,8 @@ from dataclasses import FrozenInstanceError
 from importlib import resources
 from itertools import accumulate, chain
 
-from .corpus import ContentCorpus, _positive_int, _require
-from .errors import ConfigurationError, decode_error
+from .corpus import ContentCorpus, _positive_int, _require, _rows
+from .errors import ConfigurationError
 
 # a run of one letter or digit is never a token, so it is never matched
 _TOKEN = re.compile(r"[^\W_]{2,}")
@@ -28,30 +28,22 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _parse_stopword_lines(text: str) -> frozenset[str]:
-    words = set()
-    for line in text.splitlines():
-        word = line.strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
+def _stopwords(text: str) -> set[str]:
+    """The terms of stopword text: each non-blank line as ``str.splitlines``
+    splits it, stripped and lowercased."""
+    return {line.strip().lower() for line in text.splitlines()} - {""}
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Read a stopword file: UTF-8, each non-blank line, stripped and
-    lowercased, one term. No line is a comment; a ``#`` stays in its term."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise decode_error(path) from None
-    return _parse_stopword_lines(text)
+    """Read a UTF-8 stopword file: each non-blank line as ``str.splitlines``
+    splits it, stripped and lowercased, is one term; a ``#`` stays in its term."""
+    return frozenset(chain.from_iterable(_rows(path, _stopwords)))
 
 
 def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package."""
     text = resources.files("recbench").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    return _parse_stopword_lines(text)
+    return frozenset(_stopwords(text))
 
 
 class FrozenSlots:

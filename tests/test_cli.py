@@ -77,6 +77,14 @@ class TestStats:
         assert proc.returncode == 1
         assert ":1:" in proc.stderr
 
+    def test_leading_bom_is_not_part_of_the_first_user(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_bytes(b"\xef\xbb\xbfu1\ti1\t5\nu1\ti2\t4\nu2\ti1\t3\n")
+        proc = run_cli("stats", "--interactions", str(p))
+        assert proc.returncode == 0, proc.stderr
+        out = dict(line.split(None, 1) for line in proc.stdout.strip().splitlines())
+        assert (out["n_users"], out["n_items"], out["n_activities"]) == ("2", "2", "3")
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, workspace):

@@ -104,6 +104,13 @@ class TestLoadInteractions:
         assert exc.value.line == 3
         assert exc.value.path == str(p)
 
+    def test_bad_byte_after_a_bom_counts_the_bom_bytes(self, tmp_path):
+        p = tmp_path / "r.tsv"
+        p.write_bytes(b"\xef\xbb\xbfu1\ta\t3\nu1\tcaf\xe9\n")
+        with pytest.raises(ParseError) as exc:
+            load_interactions(p)
+        assert str(exc.value) == f"{p}:2: not valid UTF-8 at byte offset 16"
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -215,6 +222,11 @@ class TestLoadContent:
         with pytest.raises(ParseError, match=r"not valid UTF-8 at byte offset 52") as exc:
             load_content(p)
         assert exc.value.line == 2
+
+    def test_leading_bom_is_not_data(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'\xef\xbb\xbf{"item_id": "m1", "attributes": {"title": "Heat"}}\n')
+        assert load_content(p).documents == {"m1": {"title": "Heat"}}
 
     @pytest.mark.parametrize(
         "line",

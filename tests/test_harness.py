@@ -107,6 +107,12 @@ class TestConfig:
             ExperimentConfig.from_json(p)
         assert f"{p}:2: not valid UTF-8 at byte offset 25" in str(exc.value)
 
+    def test_leading_bom_is_not_data(self, paths, tmp_path):
+        cfg = make_config(paths, algorithms={"cf": {}})
+        p = tmp_path / "config.json"
+        p.write_bytes(b"\xef\xbb\xbf" + json.dumps(cfg.to_json_dict()).encode("utf-8"))
+        assert ExperimentConfig.from_json(p).to_json_dict() == cfg.to_json_dict()
+
     def test_all_problems_reported_at_once(self, paths):
         cfg = make_config(
             paths,

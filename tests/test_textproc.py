@@ -6,7 +6,7 @@ from array import array
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recbench import ConfigurationError, ParseError, build_index, default_stopwords, textproc, tokenize
@@ -135,6 +135,24 @@ class TestStopwords:
         with pytest.raises(ParseError, match="not valid UTF-8 at byte offset 6") as exc:
             load_stopwords(p)
         assert exc.value.line == 2
+
+    def test_leading_bom_is_not_part_of_the_first_term(self, tmp_path):
+        p = tmp_path / "stop.txt"
+        p.write_bytes(b"\xef\xbb\xbfthe\nof\n")
+        assert load_stopwords(p) == {"the", "of"}
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.sampled_from(["the", " Of ", "AND", "a b", "#x", "", "  ", "caf\u00e9"])
+            | st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028"]),
+            max_size=20,
+        ).map("".join)
+    )
+    def test_lines_split_as_splitlines_splits_them(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("stop") / "stop.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert load_stopwords(p) == {line.strip().lower() for line in text.splitlines()} - {""}
 
 
 class TestBuildIndex:
